@@ -1,15 +1,86 @@
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 
 use dlb_graph::{mutate, BalancingGraph, DynamicConnectivity, TopologyEvent};
 use dlb_obs::{MetricRegistry, NoopSink, Phase, Sink};
 use dlb_topology::{self as topology, StaticTopology, TopologySchedule};
 
 use crate::fairness::FairnessMonitor;
-use crate::kernel::vector::{self, VectorConfig, VectorStats};
+use crate::kernel::vector::{self, Gather, VectorConfig, VectorStats, VectorStrategy};
 use crate::kernel::{self, KernelBalancer};
 use crate::parallel::{self, ShardedBalancer};
 use crate::workload::{NoWorkload, Workload};
 use crate::{Balancer, CumulativeLedger, EngineError, FlowPlan, LoadVector};
+
+/// The engine's graph together with the vector gather plan built for
+/// it, so chunked vector runs profile the labeling once per graph
+/// instead of once per call.
+///
+/// Reads go through `Deref`; the only mutable access is
+/// [`mutate`](PlannedGraph::mutate), which drops the plan first — there
+/// is deliberately no `DerefMut`, so a topology change that forgets to
+/// invalidate does not compile. A cache hit is `O(1)` in release
+/// builds; debug builds re-derive the plan and assert it equals the
+/// cached one, which is how the differential batteries would catch a
+/// stale plan.
+#[derive(Debug, Clone)]
+struct PlannedGraph {
+    gp: BalancingGraph,
+    /// The gather plan and the strategy it was built for; `None` until
+    /// the first vector dispatch (never built eagerly, so engine
+    /// construction does not pay for it).
+    gather: Option<(VectorStrategy, Gather)>,
+}
+
+impl PlannedGraph {
+    fn new(gp: BalancingGraph) -> Self {
+        PlannedGraph { gp, gather: None }
+    }
+
+    /// Mutable access to the graph; drops the cached plan.
+    fn mutate(&mut self) -> &mut BalancingGraph {
+        self.gather = None;
+        &mut self.gp
+    }
+
+    /// Drops the cached plan without touching the graph.
+    fn drop_plan(&mut self) {
+        self.gather = None;
+    }
+
+    /// The graph and its gather plan under `strategy`, building the
+    /// plan on a miss inside a [`Phase::VectorPlan`] span tagged `step`.
+    fn planned<Si: Sink>(
+        &mut self,
+        strategy: VectorStrategy,
+        sink: &mut Si,
+        step: u64,
+    ) -> (&BalancingGraph, &Gather) {
+        match &self.gather {
+            Some((built_for, cached)) if *built_for == strategy => {
+                debug_assert!(
+                    *cached == vector::plan_gather(&self.gp, strategy),
+                    "stale gather plan: the graph changed without dropping the cache"
+                );
+            }
+            _ => {
+                let probe = sink.start();
+                self.gather = Some((strategy, vector::plan_gather(&self.gp, strategy)));
+                sink.span(Phase::VectorPlan, step, probe);
+            }
+        }
+        let (_, gather) = self.gather.as_ref().expect("plan built above");
+        (&self.gp, gather)
+    }
+}
+
+impl Deref for PlannedGraph {
+    type Target = BalancingGraph;
+
+    fn deref(&self) -> &BalancingGraph {
+        &self.gp
+    }
+}
 
 /// An exact multiset of the current loads, kept as value → count in a
 /// [`BTreeMap`] so the discrepancy (`max key − min key`) reads in
@@ -201,7 +272,7 @@ pub struct EngineState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    gp: BalancingGraph,
+    gp: PlannedGraph,
     loads: LoadVector,
     /// Per-touched-node outflow over original edges, parallel to the
     /// plan's touched list (scratch reused across steps).
@@ -271,7 +342,7 @@ impl Engine {
         let ledger = CumulativeLedger::for_graph(&gp);
         let negative_count = initial.negative_nodes();
         Engine {
-            gp,
+            gp: PlannedGraph::new(gp),
             loads: initial,
             outflow: Vec::new(),
             plan,
@@ -391,6 +462,9 @@ impl Engine {
     /// (the test batteries use this to pin each inner loop against the
     /// scalar oracle).
     pub fn set_vector_config(&mut self, config: VectorConfig) {
+        if config.strategy != self.vector_config.strategy {
+            self.gp.drop_plan();
+        }
         self.vector_config = config;
     }
 
@@ -700,7 +774,7 @@ impl Engine {
             if let Err(e) = topology::drive_events_checked(
                 s,
                 self.step + 1,
-                self.gp.graph_mut(),
+                self.gp.mutate().graph_mut(),
                 &mut self.ev_scratch,
                 &mut self.ev_applied,
                 self.connectivity.as_mut(),
@@ -746,7 +820,7 @@ impl Engine {
                     self.undo_injection();
                 }
                 topology::undo_events_checked(
-                    self.gp.graph_mut(),
+                    self.gp.mutate().graph_mut(),
                     &self.ev_applied,
                     self.connectivity.as_mut(),
                 );
@@ -1134,8 +1208,10 @@ impl Engine {
                 self.argmax = None;
                 let config = self.vector_config;
                 let before = self.vector_stats;
+                let (gp, gather) = self.gp.planned(config.strategy, sink, self.step as u64 + 1);
                 if vector::run_uniform(
-                    &self.gp,
+                    gp,
+                    gather,
                     self.loads.as_mut_slice(),
                     spec,
                     steps,
@@ -1189,7 +1265,7 @@ impl Engine {
         // back; drop it and let the next planned injection rebuild.
         self.argmax = None;
         let mut back = vec![0i64; self.gp.num_nodes()];
-        let gp = &mut self.gp;
+        let gp = self.gp.mutate();
         let loads = self.loads.as_mut_slice();
         let (stats, err) = kernel::run_rounds(
             gp,
@@ -1350,7 +1426,7 @@ impl Engine {
         self.argmax = None;
         let base_step = self.step;
         let (stats, err) = parallel::run_sharded(
-            &mut self.gp,
+            self.gp.mutate(),
             self.loads.as_mut_slice(),
             balancer,
             steps,
@@ -1475,7 +1551,7 @@ impl Engine {
     #[must_use]
     pub fn export_state(&self) -> EngineState {
         EngineState {
-            graph: self.gp.clone(),
+            graph: self.gp.gp.clone(),
             loads: self.loads.as_slice().to_vec(),
             step: self.step,
             negative_node_steps: self.negative_node_steps,

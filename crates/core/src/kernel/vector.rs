@@ -51,6 +51,11 @@
 //!   a block gathers from stays L2-resident (the RCM relabeling from
 //!   PR 3 is what makes that window narrow).
 //!
+//! Either plan depends only on the adjacency and the strategy, so the
+//! engine builds it on its first vector dispatch and reuses it across
+//! calls until the graph mutates or the strategy changes; chunked runs
+//! pay the `O(n·d)` profiling once, not once per call.
+//!
 //! Finally, an **`i32` compressed mode** runs the same two strategies
 //! over `Vec<i32>` front/back buffers at twice the lane density. Entry
 //! and every subsequent round are guarded in O(1) against the
@@ -296,8 +301,12 @@ impl DivMagic {
     }
 }
 
-/// The gather plan pass 2 executes.
-enum Gather {
+/// The gather plan pass 2 executes. A pure function of the graph's
+/// adjacency and the requested [`VectorStrategy`], so the engine builds
+/// it once ([`plan_gather`]) and reuses it until the graph mutates or
+/// the strategy changes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Gather {
     /// Per original port: dominant shift offset + exception patches
     /// `(u, actual v)`.
     Banded {
@@ -315,7 +324,7 @@ enum Gather {
 /// scattered random graph) simply takes the blocked path. Both
 /// strategies are exact on every graph, so the cutover is purely a
 /// performance decision.
-fn plan_gather(gp: &BalancingGraph, choice: VectorStrategy) -> Gather {
+pub(crate) fn plan_gather(gp: &BalancingGraph, choice: VectorStrategy) -> Gather {
     let graph = gp.graph();
     let blocked = || Gather::Blocked {
         block: blocked_block_size(graph),
@@ -347,13 +356,14 @@ fn blocked_block_size(graph: &dlb_graph::RegularGraph) -> usize {
     entries.saturating_sub(2 * bw).max(1024).min(n)
 }
 
-/// Everything a run needs, precomputed once.
-struct Plan {
+/// Everything a run needs: the per-call constants plus the cached
+/// gather plan.
+struct Plan<'g> {
     d: usize,
     bias: u64,
     magic64: DivMagic,
     magic32: DivMagic,
-    gather: Gather,
+    gather: &'g Gather,
 }
 
 /// Worst-case additive growth of the maximum load per round: pass 2
@@ -370,9 +380,11 @@ fn max_growth_bound(d_plus: usize, steps: usize) -> i64 {
 /// entry maximum is so close to `i64::MAX` that the overflow-freedom
 /// argument above would not hold; the caller then uses the scalar
 /// kernel, which is bit-identical. The caller has already verified:
-/// no schedule, no workload, no asleep nodes, no negative loads.
+/// no schedule, no workload, no asleep nodes, no negative loads, and
+/// `gather` is [`plan_gather`]'s plan for `gp` under `config.strategy`.
 pub(crate) fn run_uniform(
     gp: &BalancingGraph,
+    gather: &Gather,
     loads: &mut [i64],
     spec: UniformSpec,
     steps: usize,
@@ -392,7 +404,7 @@ pub(crate) fn run_uniform(
         bias: spec.bias(d_plus),
         magic64: DivMagic::new64(d_plus as u64),
         magic32: DivMagic::new32(d_plus as u64),
-        gather: plan_gather(gp, config.strategy),
+        gather,
     };
     stats.runs += 1;
 
@@ -482,7 +494,7 @@ fn round_i64(
     debug_assert!(next.iter().all(|&x| x >= 0));
 
     // Pass 2 — receives.
-    match &plan.gather {
+    match plan.gather {
         Gather::Banded {
             offsets,
             exceptions,
@@ -629,7 +641,7 @@ fn round_i32(
     debug_assert!(next.iter().all(|&x| x >= 0));
 
     let mut round_max = 0i32;
-    match &plan.gather {
+    match plan.gather {
         Gather::Banded {
             offsets,
             exceptions,
@@ -843,6 +855,7 @@ mod tests {
                     let mut stats = VectorStats::default();
                     assert!(run_uniform(
                         gp,
+                        &plan_gather(gp, strategy),
                         &mut loads,
                         UniformSpec::Floor,
                         9,
@@ -865,9 +878,11 @@ mod tests {
         let gp = BalancingGraph::lazy(generators::cycle(8).unwrap());
         let config = VectorConfig::default();
         let mut stats = VectorStats::default();
+        let gather = plan_gather(&gp, config.strategy);
         let mut fine = vec![1i64 << 40; 8];
         assert!(run_uniform(
             &gp,
+            &gather,
             &mut fine,
             UniformSpec::Floor,
             4,
@@ -878,6 +893,7 @@ mod tests {
         let before = huge.clone();
         assert!(!run_uniform(
             &gp,
+            &gather,
             &mut huge,
             UniformSpec::Floor,
             4,

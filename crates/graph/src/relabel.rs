@@ -36,7 +36,7 @@
 //! # Ok::<(), dlb_graph::GraphError>(())
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::{GraphError, NodeId, RegularGraph};
 
@@ -258,9 +258,16 @@ impl PortShiftProfile {
     }
 }
 
-/// Computes the [`PortShiftProfile`] of a graph's current labeling in
-/// `O(n·d)` time and `O(d + exceptions)` space beyond the counting
-/// maps.
+/// Computes the [`PortShiftProfile`] of a graph's current labeling.
+///
+/// Each port's dominant offset comes from a Boyer–Moore majority vote
+/// plus one counting pass — no hashing, no allocation — because every
+/// labeling the banded gather is fast on gives each port a strict
+/// majority offset; such ports cost `O(n)` time and no space beyond
+/// their exceptions. Only when the vote's candidate holds no strict
+/// majority (scattered labelings, or a hypercube's exact ±2^p split)
+/// does the port fall back to exact counting over a sorted copy of its
+/// `n` offsets, `O(n log n)` time and `O(n)` space.
 #[must_use]
 pub fn port_shift_profile(graph: &RegularGraph) -> PortShiftProfile {
     let n = graph.num_nodes();
@@ -268,19 +275,28 @@ pub fn port_shift_profile(graph: &RegularGraph) -> PortShiftProfile {
     let mut offsets = Vec::with_capacity(d);
     let mut exceptions = Vec::with_capacity(d);
     for p in 0..d {
-        let mut counts: HashMap<i64, u32> = HashMap::new();
+        let offset = |u: usize| graph.neighbor(u, p) as i64 - u as i64;
+        let mut candidate = 0i64;
+        let mut votes = 0usize;
         for u in 0..n {
-            let o = graph.neighbor(u, p) as i64 - u as i64;
-            *counts.entry(o).or_insert(0) += 1;
+            let o = offset(u);
+            if votes == 0 {
+                candidate = o;
+                votes = 1;
+            } else if o == candidate {
+                votes += 1;
+            } else {
+                votes -= 1;
+            }
         }
-        // Most frequent offset; ties toward the smallest offset keep
-        // the profile independent of hash iteration order.
-        let best = counts
-            .iter()
-            .map(|(&o, &c)| (c, std::cmp::Reverse(o)))
-            .max()
-            .map(|(_, std::cmp::Reverse(o))| o)
-            .unwrap_or(0);
+        let hits = (0..n).filter(|&u| offset(u) == candidate).count();
+        // A strict majority is the unique mode, so it needs no
+        // tie-break; otherwise count exactly.
+        let best = if 2 * hits > n {
+            candidate
+        } else {
+            most_frequent_offset((0..n).map(offset).collect())
+        };
         let exc: Vec<(u32, u32)> = (0..n)
             .filter_map(|u| {
                 let v = graph.neighbor(u, p);
@@ -294,6 +310,19 @@ pub fn port_shift_profile(graph: &RegularGraph) -> PortShiftProfile {
         offsets,
         exceptions,
     }
+}
+
+/// The most frequent value, ties toward the smallest (`0` when empty):
+/// sorts, then keeps the first run of maximal length.
+fn most_frequent_offset(mut values: Vec<i64>) -> i64 {
+    values.sort_unstable();
+    let mut best = (0usize, 0i64);
+    for run in values.chunk_by(|a, b| a == b) {
+        if run.len() > best.0 {
+            best = (run.len(), run[0]);
+        }
+    }
+    best.1
 }
 
 impl RegularGraph {
@@ -355,6 +384,7 @@ impl RegularGraph {
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
 
     #[test]
     fn identity_roundtrips() {
@@ -475,6 +505,80 @@ mod tests {
                 assert_eq!(got, expect, "port {port} node {u}");
             }
         }
+    }
+
+    /// The hash-map profile the majority count replaced, kept as the
+    /// reference the property test below compares against.
+    fn reference_profile(graph: &RegularGraph) -> PortShiftProfile {
+        let n = graph.num_nodes();
+        let d = graph.degree();
+        let mut offsets = Vec::with_capacity(d);
+        let mut exceptions = Vec::with_capacity(d);
+        for p in 0..d {
+            let mut counts: std::collections::HashMap<i64, u32> = std::collections::HashMap::new();
+            for u in 0..n {
+                let o = graph.neighbor(u, p) as i64 - u as i64;
+                *counts.entry(o).or_insert(0) += 1;
+            }
+            let best = counts
+                .iter()
+                .map(|(&o, &c)| (c, std::cmp::Reverse(o)))
+                .max()
+                .map(|(_, std::cmp::Reverse(o))| o)
+                .unwrap_or(0);
+            let exc: Vec<(u32, u32)> = (0..n)
+                .filter_map(|u| {
+                    let v = graph.neighbor(u, p);
+                    (v as i64 - u as i64 != best).then_some((u as u32, v as u32))
+                })
+                .collect();
+            offsets.push(best);
+            exceptions.push(exc);
+        }
+        PortShiftProfile {
+            offsets,
+            exceptions,
+        }
+    }
+
+    /// One member of each generator family the engine is tested on.
+    fn family(idx: usize, size: usize, seed: u64) -> RegularGraph {
+        match idx {
+            0 => generators::cycle(4 + size).unwrap(),
+            1 => generators::torus(2, 3 + size % 9).unwrap(),
+            2 => generators::hypercube(2 + size % 6).unwrap(),
+            3 => generators::clique_circulant(12 + size, 4).unwrap(),
+            _ => generators::random_regular(16 + 2 * size, 3, seed).unwrap(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn majority_profile_equals_the_hash_map_reference(
+            idx in 0usize..5,
+            size in 0usize..40,
+            seed in 0u64..1000,
+        ) {
+            let g = family(idx, size, seed);
+            let rcm = g.relabeled(&Relabeling::reverse_cuthill_mckee(&g)).unwrap();
+            for graph in [&g, &rcm] {
+                prop_assert_eq!(port_shift_profile(graph), reference_profile(graph));
+            }
+        }
+    }
+
+    #[test]
+    fn tied_ports_break_toward_the_smallest_offset() {
+        // Hypercube port p is +2^p on half the nodes and −2^p on the
+        // other half: no majority, so the exact count's tie-break runs.
+        let g = generators::hypercube(4).unwrap();
+        let p = port_shift_profile(&g);
+        assert_eq!(p.offsets, vec![-1, -2, -4, -8]);
+        assert_eq!(p, reference_profile(&g));
+        assert_eq!(most_frequent_offset(Vec::new()), 0);
+        assert_eq!(most_frequent_offset(vec![3, -2, 3, -2, 7]), -2);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::time::Instant;
 
+use crate::registry::MetricRegistry;
+
 /// A named phase of the system, shared by every execution path.
 ///
 /// Serial rounds decompose into `Mutate → Inject → Handoff → Plan →
@@ -9,7 +11,8 @@ use std::time::Instant;
 /// `Stream`; the sharded path reports its barrier phases; the server
 /// reports the slice pipeline (`Ticket → Lock → TenantStep →
 /// SliceMerge`). `VectorDispatch` is an instant event carrying the
-/// dispatch decision for a vectorized run.
+/// dispatch decision for a vectorized run; `VectorPlan` spans the
+/// (cached, so normally once per graph) build of its gather plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Phase {
@@ -29,6 +32,8 @@ pub enum Phase {
     Stream,
     /// Vector-kernel dispatch decision (value encodes the strategy).
     VectorDispatch,
+    /// Vector-kernel gather plan build (a plan-cache miss).
+    VectorPlan,
     /// Sharded path: topology drive + replica replay (T0/T1).
     ShardTopology,
     /// Sharded path: injection publish/assemble/apply (I0–I2).
@@ -50,7 +55,7 @@ pub enum Phase {
 }
 
 /// Number of distinct [`Phase`] values (size for per-phase arrays).
-pub const PHASE_COUNT: usize = 17;
+pub const PHASE_COUNT: usize = 18;
 
 /// All phases, in declaration order (index = `Phase::index`).
 const ALL_PHASES: [Phase; PHASE_COUNT] = [
@@ -62,6 +67,7 @@ const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::Route,
     Phase::Stream,
     Phase::VectorDispatch,
+    Phase::VectorPlan,
     Phase::ShardTopology,
     Phase::ShardInject,
     Phase::ShardPlan,
@@ -96,6 +102,7 @@ impl Phase {
             Phase::Route => "route",
             Phase::Stream => "stream",
             Phase::VectorDispatch => "vector_dispatch",
+            Phase::VectorPlan => "vector_plan",
             Phase::ShardTopology => "shard_topology",
             Phase::ShardInject => "shard_inject",
             Phase::ShardPlan => "shard_plan",
@@ -278,6 +285,23 @@ impl RingSink {
         self.phase_counts[phase.index()]
     }
 
+    /// Publishes the exact per-phase accumulators into `reg` as
+    /// `trace_<phase>_events_total` and `trace_<phase>_ns_total`
+    /// counters (phases with no events are skipped), so the Prometheus
+    /// exposition covers every phase the event exporters do. Values
+    /// are cumulative over the recording and **set**, so refilling is
+    /// idempotent.
+    pub fn fill_metrics(&self, reg: &mut MetricRegistry) {
+        for phase in ALL_PHASES {
+            let count = self.phase_count(phase);
+            if count > 0 {
+                let name = phase.name();
+                reg.counter_set(&format!("trace_{name}_events_total"), count);
+                reg.counter_set(&format!("trace_{name}_ns_total"), self.phase_ns(phase));
+            }
+        }
+    }
+
     /// Empties the buffer and accumulators and re-anchors the clock.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -326,6 +350,32 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), PHASE_COUNT);
+    }
+
+    #[test]
+    fn fill_metrics_publishes_every_recorded_phase() {
+        let mut sink = RingSink::with_capacity(2);
+        for step in 0..3 {
+            sink.record(Event {
+                kind: EventKind::Span,
+                phase: Phase::VectorPlan,
+                step,
+                at_ns: 0,
+                dur_ns: 40,
+                value: 0,
+            });
+        }
+        sink.instant(Phase::VectorDispatch, 0, 1);
+        let mut reg = MetricRegistry::new();
+        sink.fill_metrics(&mut reg);
+        sink.fill_metrics(&mut reg);
+        assert_eq!(reg.counter("trace_vector_plan_events_total"), 3);
+        assert_eq!(reg.counter("trace_vector_plan_ns_total"), 120);
+        assert_eq!(reg.counter("trace_vector_dispatch_events_total"), 1);
+        assert_eq!(reg.counters().count(), 4, "unrecorded phases are skipped");
+        let text = reg.render_prometheus();
+        assert!(text.contains("# TYPE trace_vector_plan_events_total counter"));
+        assert!(text.contains("trace_vector_plan_ns_total 120"));
     }
 
     #[test]

@@ -183,11 +183,15 @@ impl Journal {
                         return Err(WireError::new(at, format!("round {round} out of order")));
                     }
                     let ne = r.u32()? as usize;
+                    r.check_count(ne, MIN_EVENT_BYTES, "topology events")?;
+                    // guard: check_count above bounds `ne` by the remaining bytes.
                     let mut events = Vec::with_capacity(ne);
                     for _ in 0..ne {
                         events.push(decode_event(&mut r)?);
                     }
                     let nd = r.u32()? as usize;
+                    r.check_count(nd, DELTA_BYTES, "load deltas")?;
+                    // guard: check_count above bounds `nd` by the remaining bytes.
                     let mut deltas = Vec::with_capacity(nd);
                     for _ in 0..nd {
                         deltas.push((r.u32()?, r.i64()?));
@@ -247,6 +251,13 @@ fn encode_event(w: &mut Writer, ev: &TopologyEvent) {
     }
 }
 
+/// Smallest encoding of one topology event: a tag plus a `u32` node
+/// (`Sleep`/`Wake`; `Swap` and `PermutePorts` are longer).
+const MIN_EVENT_BYTES: usize = 5;
+
+/// Encoding of one load delta: a `u32` node plus an `i64` amount.
+const DELTA_BYTES: usize = 12;
+
 fn decode_event(r: &mut Reader<'_>) -> Result<TopologyEvent, WireError> {
     let at = r.offset();
     Ok(match r.u8()? {
@@ -259,6 +270,8 @@ fn decode_event(r: &mut Reader<'_>) -> Result<TopologyEvent, WireError> {
         1 => {
             let node = r.u32()? as usize;
             let len = r.u16()? as usize;
+            r.check_count(len, 2, "port-permutation entries")?;
+            // guard: check_count above bounds `len` by the remaining bytes.
             let mut perm = Vec::with_capacity(len);
             for _ in 0..len {
                 perm.push(r.u16()?);
@@ -364,5 +377,43 @@ mod tests {
         let mut bytes = j.as_bytes().to_vec();
         bytes.push(9); // unknown record tag
         assert!(Journal::from_bytes(bytes).is_err());
+    }
+
+    #[test]
+    fn forged_record_counts_error_instead_of_aborting() {
+        let mut j = Journal::new(&base().encode());
+        j.record_advance(4);
+        let valid = j.as_bytes().to_vec();
+
+        // The 13-byte probe: a Round tag, round 1, and an event count
+        // of u32::MAX. Trusting the count would request a ~170 GB
+        // allocation and abort the process.
+        let mut bytes = valid.clone();
+        bytes.push(0);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), valid.len() + 13);
+        let err = Journal::from_bytes(bytes).unwrap_err();
+        assert!(err.reason.contains("topology events"), "{err}");
+
+        // The same forgery on the delta count (zero events first).
+        let mut bytes = valid.clone();
+        bytes.push(0);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = Journal::from_bytes(bytes).unwrap_err();
+        assert!(err.reason.contains("load deltas"), "{err}");
+
+        // And on a port permutation's u16 length.
+        let mut bytes = valid;
+        bytes.push(0);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(1);
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&u16::MAX.to_le_bytes());
+        let err = Journal::from_bytes(bytes).unwrap_err();
+        assert!(err.reason.contains("port-permutation"), "{err}");
     }
 }

@@ -206,7 +206,9 @@ impl TenantSnapshot {
         let at = r.offset();
         let scheme = SchemeKind::from_tag(r.u8()?, at)?;
         let nrotors = r.len64()?;
-        let mut rotors = Vec::with_capacity(nrotors.min(n));
+        r.check_count(nrotors, 8, "rotor positions")?;
+        // guard: check_count above bounds `nrotors` by the remaining bytes.
+        let mut rotors = Vec::with_capacity(nrotors);
         for _ in 0..nrotors {
             rotors.push(r.u64()?);
         }
@@ -270,13 +272,12 @@ fn decode_graph(r: &mut Reader<'_>) -> Result<BalancingGraph, WireError> {
         .checked_mul(d)
         .ok_or_else(|| WireError::new(r.offset(), format!("adjacency shape {n}x{d} overflows")))?;
     // Guard against a forged header demanding a huge allocation before
-    // the (truncated) buffer runs out: each slot still costs 4 bytes.
-    if r.remaining() < slots.saturating_mul(4) {
-        return Err(WireError::new(
-            r.offset(),
-            format!("adjacency wants {slots} slots, buffer too short"),
-        ));
-    }
+    // the (truncated) buffer runs out. A degree-0 header makes `slots`
+    // zero whatever `n` says, and graph validation allocates per node,
+    // so `n` is bounded too: every node's 8-byte load follows the graph.
+    r.check_count(n, 8, "node loads")?;
+    r.check_count(slots, 4, "adjacency slots")?;
+    // guard: check_count above bounds `slots` by the remaining bytes.
     let mut adjacency = Vec::with_capacity(slots);
     for _ in 0..slots {
         adjacency.push(r.u32()?);
@@ -452,12 +453,8 @@ fn encode_cursor(w: &mut Writer, cursor: &[u64]) {
 
 fn decode_cursor(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
     let len = r.len64()?;
-    if r.remaining() < len.saturating_mul(8) {
-        return Err(WireError::new(
-            r.offset(),
-            format!("cursor wants {len} words, buffer too short"),
-        ));
-    }
+    r.check_count(len, 8, "cursor words")?;
+    // guard: check_count above bounds `len` by the remaining bytes.
     let mut cursor = Vec::with_capacity(len);
     for _ in 0..len {
         cursor.push(r.u64()?);
@@ -801,5 +798,20 @@ mod tests {
         let slot0 = 8 + 2 + 24;
         forged[slot0..slot0 + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(TenantSnapshot::decode(&forged).is_err());
+    }
+
+    #[test]
+    fn forged_counts_error_instead_of_allocating() {
+        let bytes = sample_snapshot().encode();
+        // A degree-0 header with a huge node count: zero adjacency
+        // slots, so only the node-count guard stands between the
+        // header and a terabyte-sized validation buffer.
+        let mut forged = bytes[..10].to_vec();
+        forged.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        forged.extend_from_slice(&0u64.to_le_bytes());
+        forged.extend_from_slice(&0u64.to_le_bytes());
+        forged.extend_from_slice(&bytes[34..]);
+        let err = TenantSnapshot::decode(&forged).unwrap_err();
+        assert!(err.reason.contains("node loads"), "{err}");
     }
 }

@@ -225,6 +225,33 @@ impl<'a> Reader<'a> {
         usize::try_from(v).map_err(|_| WireError::new(at, format!("length {v} overflows usize")))
     }
 
+    /// Checks that `count` items of at least `min_bytes` each can still
+    /// follow. Decoders run this before sizing a buffer from a decoded
+    /// count, so a forged count is an error, not an allocation the
+    /// input cannot back.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] if fewer than `count · min_bytes` bytes
+    /// remain.
+    pub(crate) fn check_count(
+        &self,
+        count: usize,
+        min_bytes: usize,
+        what: &str,
+    ) -> Result<(), WireError> {
+        if self.remaining() < count.saturating_mul(min_bytes) {
+            return Err(WireError::new(
+                self.pos,
+                format!(
+                    "{count} {what} do not fit the {} remaining bytes",
+                    self.remaining()
+                ),
+            ));
+        }
+        Ok(())
+    }
+
     /// Consumes a length-prefixed UTF-8 string.
     ///
     /// # Errors

@@ -992,3 +992,203 @@ fn resume_across_a_divergence_point_reproduces_the_error() {
         }
     }
 }
+
+/// One step of the plan-cache interleaving below.
+#[derive(Clone, Copy, Debug)]
+enum CacheOp {
+    /// A static, closed, vector-eligible `run_kernel` chunk.
+    Static(usize),
+    /// A `run_kernel_dyn` chunk under periodic rewiring (swaps).
+    Rewire(usize),
+    /// A `run_kernel_dyn` chunk under churn with crash/recovery
+    /// (swaps plus sleep/wake).
+    Churn(usize),
+    /// One instrumented `step_dyn` round under rewiring.
+    Step,
+    /// A 2-thread `run_parallel_dyn` chunk under rewiring.
+    Parallel(usize),
+    /// A `set_vector_config` strategy flip.
+    Flip(VectorStrategy),
+    /// `export_state` → `from_state`.
+    Resume,
+}
+
+fn cache_op(code: usize, len: usize) -> CacheOp {
+    match code {
+        0..=3 => CacheOp::Static(len),
+        4 => CacheOp::Rewire(len),
+        5 => CacheOp::Churn(len),
+        6 => CacheOp::Step,
+        7 => CacheOp::Parallel(len),
+        8 => CacheOp::Flip(VectorStrategy::Banded),
+        9 => CacheOp::Flip(VectorStrategy::BlockedCsr),
+        10 => CacheOp::Flip(VectorStrategy::Auto),
+        _ => CacheOp::Resume,
+    }
+}
+
+/// An engine plus the schedule instances its churning calls share, so
+/// two rigs fed the same ops see identical event streams.
+struct CacheRig {
+    engine: Engine,
+    vector: bool,
+    rewire: Box<dyn TopologySchedule>,
+    churn: Box<dyn TopologySchedule>,
+}
+
+impl CacheRig {
+    fn new(gp: &BalancingGraph, initial: &LoadVector, vector: bool, seed: u64) -> Self {
+        let mut engine = Engine::new(gp.clone(), initial.clone());
+        engine.set_vector_config(VectorConfig {
+            enabled: vector,
+            strategy: VectorStrategy::Banded,
+            width: VectorWidth::Auto,
+        });
+        let rewire = ScheduleSpec::Periodic {
+            period: 2,
+            swaps: 2,
+            seed,
+        };
+        let churn = ScheduleSpec::Churn {
+            period: 3,
+            swaps: 1,
+            fail_pct: 30,
+            max_down: 4,
+            seed: seed + 1,
+        };
+        CacheRig {
+            engine,
+            vector,
+            rewire: rewire.build().expect("dynamic schedule"),
+            churn: churn.build().expect("dynamic schedule"),
+        }
+    }
+
+    fn apply(&mut self, op: CacheOp) -> Option<EngineError> {
+        let none = None::<&mut dyn Workload>;
+        let bal = &mut SendFloor::new();
+        match op {
+            CacheOp::Static(k) => self.engine.run_kernel(bal, k).err(),
+            CacheOp::Rewire(k) => self
+                .engine
+                .run_kernel_dyn(bal, k, Some(self.rewire.as_mut()), none)
+                .err(),
+            CacheOp::Churn(k) => self
+                .engine
+                .run_kernel_dyn(bal, k, Some(self.churn.as_mut()), none)
+                .err(),
+            CacheOp::Step => self
+                .engine
+                .step_dyn(bal, Some(self.rewire.as_mut()), none)
+                .err(),
+            CacheOp::Parallel(k) => self
+                .engine
+                .run_parallel_dyn(bal, k, 2, Some(self.rewire.as_mut()), none)
+                .err(),
+            CacheOp::Flip(strategy) => {
+                self.engine.set_vector_config(VectorConfig {
+                    enabled: self.vector,
+                    strategy,
+                    width: VectorWidth::Auto,
+                });
+                None
+            }
+            CacheOp::Resume => {
+                self.engine = Engine::from_state(self.engine.export_state());
+                None
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The gather plan is cached on the engine and must be dropped by
+    /// every graph mutation, strategy flip and restore. Interleaving
+    /// vector-eligible static chunks with every mutating path on one
+    /// engine must stay bit-identical to the same sequence with the
+    /// vector layer disabled: a stale banded plan (forced at the start,
+    /// and reachable again through the flips) would misroute tokens
+    /// behind every rewired edge.
+    #[test]
+    fn cached_gather_plan_never_outlives_a_graph_change(
+        graph_idx in 0usize..5,
+        codes in proptest::collection::vec((0usize..12, 1usize..6), 6..24),
+        pattern in proptest::collection::vec(0i64..120, 4..12),
+        seed in 0u64..1000,
+    ) {
+        let (gname, graph) = graph_for(graph_idx);
+        let n = graph.num_nodes();
+        let gp = BalancingGraph::lazy(graph);
+        let loads: Vec<i64> = pattern.iter().copied().cycle().take(n).collect();
+        let initial = LoadVector::new(loads);
+        let mut vector = CacheRig::new(&gp, &initial, true, seed);
+        let mut scalar = CacheRig::new(&gp, &initial, false, seed);
+        for (i, &(code, len)) in codes.iter().enumerate() {
+            let op = cache_op(code, len);
+            let label = format!("{gname}: op {i} ({op:?})");
+            let error = vector.apply(op);
+            prop_assert_eq!(&error, &scalar.apply(op), "{}: error", label);
+            Outcome::capture(&vector.engine, None, error.clone())
+                .assert_matches(&Outcome::capture(&scalar.engine, None, error), &label);
+        }
+        prop_assert_eq!(scalar.engine.vector_stats().runs, 0);
+    }
+}
+
+/// The deterministic anchor: on a cycle (banded under every strategy
+/// that allows it) the interleaving must actually dispatch vector
+/// calls after each kind of mutation, or the property above would be
+/// comparing two scalar runs.
+#[test]
+fn cached_gather_plan_anchor_dispatches_after_every_mutation() {
+    let gp = BalancingGraph::lazy(generators::cycle(24).unwrap());
+    let initial = LoadVector::new((0..24).map(|i| (i * 37) % 101).collect());
+    let mut vector = CacheRig::new(&gp, &initial, true, 5);
+    let mut scalar = CacheRig::new(&gp, &initial, false, 5);
+    let mut expected_runs = 0;
+    for op in [
+        CacheOp::Static(3),
+        CacheOp::Rewire(4),
+        CacheOp::Static(3),
+        CacheOp::Churn(6),
+        CacheOp::Static(3),
+        CacheOp::Step,
+        CacheOp::Static(3),
+        CacheOp::Parallel(4),
+        CacheOp::Static(3),
+        CacheOp::Flip(VectorStrategy::BlockedCsr),
+        CacheOp::Static(3),
+        CacheOp::Flip(VectorStrategy::Auto),
+        CacheOp::Static(3),
+        CacheOp::Resume,
+        CacheOp::Static(3),
+    ] {
+        if matches!(op, CacheOp::Static(_)) {
+            expected_runs += 1;
+        }
+        let apply = |vector: &mut CacheRig, scalar: &mut CacheRig, op: CacheOp| {
+            let error = vector.apply(op);
+            assert_eq!(error, scalar.apply(op), "{op:?}: error");
+            assert_eq!(error, None, "{op:?} errored");
+            Outcome::capture(&vector.engine, None, None).assert_matches(
+                &Outcome::capture(&scalar.engine, None, None),
+                &format!("{op:?}"),
+            );
+        };
+        apply(&mut vector, &mut scalar, op);
+        if matches!(op, CacheOp::Churn(_)) {
+            // Asleep nodes keep runs off the vector path: churn on
+            // until every crashed node has recovered.
+            let mut rounds = 0;
+            while vector.engine.graph().graph().asleep_count() > 0 {
+                apply(&mut vector, &mut scalar, CacheOp::Churn(1));
+                rounds += 1;
+                assert!(rounds < 500, "crashed nodes never recovered");
+            }
+        }
+    }
+    assert!(vector.engine.topology_events_applied() > 0);
+    assert_eq!(vector.engine.vector_stats().runs, expected_runs);
+}

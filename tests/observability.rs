@@ -15,14 +15,20 @@
 //!   `(tag << 32) | count` and reconcile against the engine's own
 //!   vector counters; the ring sink's per-phase accumulators stay
 //!   exact under overwrite;
+//! * **plan cache** — the vector gather plan is built once per graph:
+//!   chunked calls record a single `VectorPlan` span, and each graph
+//!   mutation, strategy flip or snapshot restore costs exactly one
+//!   more, visible in every exporter;
 //! * **overhead gate** — the RingSink build of the t1 flagship cell
 //!   (cycle × SEND(floor), vector dispatch) must stay within 5% of
 //!   the NoopSink build.
 
 use dlb::core::schemes::{RotorRouter, SendFloor};
-use dlb::core::{Engine, LoadVector, NoWorkload, StaticTopology};
+use dlb::core::{
+    Engine, LoadVector, NoWorkload, StaticTopology, VectorConfig, VectorStrategy, Workload,
+};
 use dlb::graph::{generators, BalancingGraph, PortOrder};
-use dlb::obs::{EventKind, MetricRegistry, Phase, RingSink};
+use dlb::obs::{chrome_trace, events_jsonl, EventKind, MetricRegistry, Phase, RingSink};
 use dlb::scenario::WorkloadSpec;
 use dlb::topology::ScheduleSpec;
 
@@ -392,6 +398,91 @@ fn vector_dispatch_instants_reconcile_with_engine_counters() {
         steps as u64,
         "every round went through a vector strategy"
     );
+}
+
+#[test]
+fn vector_plan_is_built_once_per_graph_and_again_after_each_invalidation() {
+    let n = 256;
+    let mut engine = Engine::new(cycle(n), point_mass(n));
+    let mut sink = RingSink::with_capacity(4096);
+    let chunk = |engine: &mut Engine, sink: &mut RingSink| {
+        engine
+            .run_kernel_dyn_traced(
+                &mut SendFloor::new(),
+                4,
+                None::<&mut StaticTopology>,
+                None::<&mut NoWorkload>,
+                sink,
+            )
+            .unwrap();
+    };
+
+    // 64 chunked calls on one unchanged graph: one plan build.
+    for _ in 0..64 {
+        chunk(&mut engine, &mut sink);
+    }
+    assert_eq!(engine.vector_stats().runs, 64);
+    assert_eq!(sink.phase_count(Phase::VectorPlan), 1);
+
+    // A churning kernel call mutates the graph: one more build.
+    let mut schedule = churn().build();
+    engine
+        .run_kernel_dyn_traced(
+            &mut SendFloor::new(),
+            6,
+            schedule.as_deref_mut(),
+            None::<&mut NoWorkload>,
+            &mut sink,
+        )
+        .unwrap();
+    chunk(&mut engine, &mut sink);
+    chunk(&mut engine, &mut sink);
+    assert_eq!(sink.phase_count(Phase::VectorPlan), 2);
+
+    // So does an instrumented step under a schedule.
+    engine
+        .step_dyn(
+            &mut SendFloor::new(),
+            schedule.as_deref_mut(),
+            None::<&mut dyn Workload>,
+        )
+        .unwrap();
+    chunk(&mut engine, &mut sink);
+    chunk(&mut engine, &mut sink);
+    assert_eq!(sink.phase_count(Phase::VectorPlan), 3);
+
+    // And a strategy flip; re-setting the same strategy does not.
+    let flipped = VectorConfig {
+        strategy: VectorStrategy::BlockedCsr,
+        ..*engine.vector_config()
+    };
+    engine.set_vector_config(flipped);
+    chunk(&mut engine, &mut sink);
+    engine.set_vector_config(flipped);
+    chunk(&mut engine, &mut sink);
+    assert_eq!(sink.phase_count(Phase::VectorPlan), 4);
+
+    // A restored engine starts without a plan.
+    let mut resumed = Engine::from_state(engine.export_state());
+    chunk(&mut resumed, &mut sink);
+    chunk(&mut resumed, &mut sink);
+    assert_eq!(sink.phase_count(Phase::VectorPlan), 5);
+
+    // Every exporter carries the span.
+    let events = sink.events();
+    let plans: Vec<_> = events
+        .iter()
+        .filter(|ev| ev.phase == Phase::VectorPlan)
+        .collect();
+    assert_eq!(plans.len(), 5);
+    assert!(plans.iter().all(|ev| ev.kind == EventKind::Span));
+    assert!(events_jsonl(&events).contains("{\"phase\":\"vector_plan\",\"kind\":\"span\""));
+    assert!(chrome_trace(&events).contains("{\"name\":\"vector_plan\",\"ph\":\"X\""));
+    let mut reg = MetricRegistry::new();
+    sink.fill_metrics(&mut reg);
+    let text = reg.render_prometheus();
+    assert!(text.contains("# TYPE trace_vector_plan_events_total counter"));
+    assert!(text.contains("trace_vector_plan_events_total 5"));
 }
 
 #[test]

@@ -36,6 +36,14 @@
 //!   or an allowlist entry arguing why they never should. Without the
 //!   lint, every new subsystem grows its own counter struct and the
 //!   unified registry silently stops being unified.
+//! * **decoded-capacity** — in `crates/*/src`, a `with_capacity(`
+//!   whose argument is a length read from a wire `Reader` (a `let`
+//!   bound to `.u16()`/`.u32()`/`.u64()`/`.len64()`/…, or derived
+//!   from one in a later `let` of the same function) needs a
+//!   `// guard:` comment on the line or the three lines above naming
+//!   the remaining-bytes check that bounds it. A forged length that
+//!   reaches `with_capacity` unchecked aborts the process instead of
+//!   returning an error.
 //!
 //! Test regions (`#[cfg(test)]` modules) and comments are masked out
 //! before linting, so tests may unwrap and assert freely. The masking
@@ -75,6 +83,9 @@ pub enum LintClass {
     /// Raw atomic counter or ad-hoc stats struct bypassing the
     /// `dlb-obs` metric registry.
     MetricRegistry,
+    /// `with_capacity` sized by a decoded length without a guard
+    /// comment naming its remaining-bytes check.
+    DecodedCapacity,
     /// Allowlist entry that no longer matches anything.
     StaleAllow,
 }
@@ -90,6 +101,7 @@ impl LintClass {
             LintClass::KernelAssert => "kernel-assert",
             LintClass::VectorSafety => "vector-safety",
             LintClass::MetricRegistry => "metric-registry",
+            LintClass::DecodedCapacity => "decoded-capacity",
             LintClass::StaleAllow => "stale-allow",
         }
     }
@@ -102,6 +114,7 @@ impl LintClass {
             "kernel-assert" => Some(LintClass::KernelAssert),
             "vector-safety" => Some(LintClass::VectorSafety),
             "metric-registry" => Some(LintClass::MetricRegistry),
+            "decoded-capacity" => Some(LintClass::DecodedCapacity),
             _ => None,
         }
     }
@@ -301,6 +314,67 @@ fn declares_stats_struct(line: &str) -> bool {
     })
 }
 
+/// The `Reader` calls that yield a decoded integer.
+const READER_READS: [&str; 6] = [".u8()", ".u16()", ".u32()", ".u64()", ".i64()", ".len64()"];
+
+/// Whether `text` mentions the identifier `ident` as a whole word.
+fn mentions(text: &str, ident: &str) -> bool {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(ident).any(|(pos, _)| {
+        !text[..pos].chars().next_back().is_some_and(word)
+            && !text[pos + ident.len()..].chars().next().is_some_and(word)
+    })
+}
+
+/// The `(name, initializer)` of a simple `let [mut] name[: T] = …`.
+fn let_binding(line: &str) -> Option<(&str, &str)> {
+    let rest = line.trim_start().strip_prefix("let ")?;
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let len = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    let (name, tail) = rest.split_at(len);
+    let eq = tail.find('=')?;
+    let head = tail[..eq].trim();
+    let init = &tail[eq + 1..];
+    (!name.is_empty() && (head.is_empty() || head.starts_with(':')) && !init.starts_with('='))
+        .then_some((name, init))
+}
+
+/// Whether the masked line opens a function (which resets the set of
+/// identifiers known to hold decoded lengths).
+fn opens_fn(line: &str) -> bool {
+    let t = line.trim_start();
+    let t = t.strip_prefix("pub(crate) ").unwrap_or(t);
+    let t = t.strip_prefix("pub ").unwrap_or(t);
+    t.starts_with("fn ")
+}
+
+/// The argument texts of every `with_capacity(…)` on the line (up to
+/// the matching parenthesis, or the end of the line).
+fn capacity_args(line: &str) -> impl Iterator<Item = &str> {
+    line.match_indices("with_capacity(").map(move |(pos, m)| {
+        let arg = &line[pos + m.len()..];
+        let mut depth = 0usize;
+        let end = arg
+            .char_indices()
+            .find(|&(_, c)| match c {
+                '(' => {
+                    depth += 1;
+                    false
+                }
+                ')' if depth == 0 => true,
+                ')' => {
+                    depth -= 1;
+                    false
+                }
+                _ => false,
+            })
+            .map_or(arg.len(), |(i, _)| i);
+        &arg[..end]
+    })
+}
+
 const ATOMIC_OPS: [&str; 6] = [
     ".load(",
     ".store(",
@@ -326,9 +400,40 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
     // The registry implementation itself is exempt; everyone else's
     // counters must flow into it.
     let metric_scope = rel.starts_with("crates/") && !rel.starts_with("crates/obs/");
+    let decode_scope = rel.starts_with("crates/");
+    // Identifiers of the current function that hold decoded lengths.
+    let mut decoded: Vec<&str> = Vec::new();
 
     for (i, line) in masked.iter().enumerate() {
         let lineno = i + 1;
+
+        if decode_scope {
+            if opens_fn(line) {
+                decoded.clear();
+            }
+            if let Some((name, init)) = let_binding(line) {
+                if READER_READS.iter().any(|m| init.contains(m))
+                    || decoded.iter().any(|d| mentions(init, d))
+                {
+                    decoded.push(name);
+                }
+            }
+            let unguarded = capacity_args(line).any(|arg| decoded.iter().any(|d| mentions(arg, d)))
+                && !has_nearby_marker(&raw, i, "guard:");
+            if unguarded {
+                out.push(Violation {
+                    class: LintClass::DecodedCapacity,
+                    file: rel.to_string(),
+                    line: lineno,
+                    message: format!(
+                        "with_capacity sized by a decoded length — bound it by the \
+                         remaining bytes and name that check in a `// guard:` \
+                         comment (same line or the 3 lines above): `{}`",
+                        excerpt(raw[i])
+                    ),
+                });
+            }
+        }
 
         if in_core && !is_facade && (line.contains("std::sync") || line.contains("std::thread")) {
             out.push(Violation {
@@ -726,6 +831,63 @@ mod tests {
         assert!(lint_source("crates/core/src/frob.rs", other).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    struct TinyStats { n: u64 }\n}\n";
         assert!(lint_source("crates/core/src/frob.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn decoded_capacity_lint_wants_a_guard_comment() {
+        // Seeded violation: a forged u32 count sizes the buffer.
+        let bad = "fn decode(r: &mut Reader) -> Vec<u8> {\n\
+                   \x20   let n = r.u32()? as usize;\n\
+                   \x20   let v = Vec::with_capacity(n);\n\
+                   \x20   v\n\
+                   }\n";
+        let v = lint_source("crates/serve/src/journal.rs", bad);
+        assert_eq!(classes(&v), vec![LintClass::DecodedCapacity]);
+        assert_eq!(v[0].line, 3);
+
+        // Taint follows later lets of the same function.
+        let derived = "fn decode(r: &mut Reader) {\n\
+                       \x20   let n = r.len64()?;\n\
+                       \x20   let slots = n.checked_mul(4);\n\
+                       \x20   let v: Vec<u32> = Vec::with_capacity(slots.min(9));\n\
+                       }\n";
+        assert_eq!(
+            classes(&lint_source("crates/serve/src/snapshot.rs", derived)),
+            vec![LintClass::DecodedCapacity]
+        );
+
+        // A guard comment on the line or just above satisfies it.
+        let guarded = "fn decode(r: &mut Reader) {\n\
+                       \x20   let n = r.u32()? as usize;\n\
+                       \x20   r.check_count(n, 4, \"items\")?;\n\
+                       \x20   // guard: check_count above bounds `n`.\n\
+                       \x20   let v = Vec::with_capacity(n);\n\
+                       \x20   let w = Vec::with_capacity(n); // guard: same check\n\
+                       }\n";
+        assert!(lint_source("crates/serve/src/journal.rs", guarded).is_empty());
+        // A comment that is not a guard marker does not count.
+        let vague = bad.replace("    let v =", "    // sized from the header\n    let v =");
+        assert_eq!(
+            classes(&lint_source("crates/serve/src/journal.rs", &vague)),
+            vec![LintClass::DecodedCapacity]
+        );
+
+        // Undecoded lengths, other functions, whole-word matching,
+        // test regions and code outside crates/ are not its business.
+        let clean = "fn decode(r: &mut Reader) {\n\
+                     \x20   let n = r.u32()? as usize;\n\
+                     }\n\
+                     fn build(n: usize, nn: usize) {\n\
+                     \x20   let v = Vec::with_capacity(n);\n\
+                     }\n\
+                     fn other(r: &mut Reader) {\n\
+                     \x20   let k = r.u16()? as usize;\n\
+                     \x20   let w = Vec::with_capacity(kk + 1);\n\
+                     }\n";
+        assert!(lint_source("crates/serve/src/journal.rs", clean).is_empty());
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{bad}}}\n");
+        assert!(lint_source("crates/serve/src/journal.rs", &in_test).is_empty());
+        assert!(lint_source("tools/tidy/src/lib.rs", bad).is_empty());
     }
 
     #[test]
