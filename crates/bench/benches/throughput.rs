@@ -4,7 +4,7 @@
 //! instrumented engine (monitor attached) per scheme on a 4096-node
 //! expander, plus the spectral substrate's operator application, plus
 //! the fused execution paths (instrumented step loop vs `run` vs
-//! `run_fast` vs the plan-free `run_kernel` vs `run_parallel`) on the
+//! `run_fast` vs the plan-free `run_kernel`) on the
 //! PR's reference workload, a 65536-node cycle under SEND(⌊x/d⁺⌋).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -157,17 +157,6 @@ fn bench_fused_paths(c: &mut Criterion) {
             black_box(engine.loads().total())
         });
     });
-    for threads in [2usize, 4] {
-        group.bench_function(BenchmarkId::new("run_parallel", threads), |b| {
-            b.iter(|| {
-                let mut engine = Engine::new(gp.clone(), initial.clone());
-                engine
-                    .run_parallel(&SendFloor::new(), CYCLE_STEPS, threads)
-                    .expect("run runs");
-                black_box(engine.loads().total())
-            });
-        });
-    }
     group.finish();
 }
 

@@ -8,7 +8,6 @@ use dlb_topology::{self as topology, StaticTopology, TopologySchedule};
 use crate::fairness::FairnessMonitor;
 use crate::kernel::vector::{self, Gather, VectorConfig, VectorStats, VectorStrategy};
 use crate::kernel::{self, KernelBalancer};
-use crate::parallel::{self, ShardedBalancer};
 use crate::workload::{NoWorkload, Workload};
 use crate::{Balancer, CumulativeLedger, EngineError, FlowPlan, LoadVector};
 
@@ -251,11 +250,10 @@ pub struct EngineState {
 /// monitor. [`run_kernel`](Engine::run_kernel) goes further still for
 /// [`KernelBalancer`] schemes: no [`FlowPlan`] is materialised at all —
 /// flows are computed in registers and applied as signed deltas into a
-/// double-buffered load vector. [`run_parallel`](Engine::run_parallel)
-/// shards that plan-free path across threads for [`ShardedBalancer`]
-/// schemes. All paths produce bit-identical loads. The count of
-/// negative nodes is maintained incrementally at every load write, so
-/// no path ever scans for it.
+/// double-buffered load vector, and schemes with a closed-form uniform
+/// flow run it as whole-array vector rounds. All paths produce
+/// bit-identical loads. The count of negative nodes is maintained
+/// incrementally at every load write, so no path ever scans for it.
 ///
 /// # Example
 ///
@@ -367,12 +365,12 @@ impl Engine {
     }
 
     /// Starts maintaining a [`DynamicConnectivity`] structure anchored
-    /// to the current graph. Every execution path (serial, kernel,
-    /// sharded) keeps it coherent through applied topology events and
+    /// to the current graph. Every execution path (planned and kernel)
+    /// keeps it coherent through applied topology events and
     /// erroring-round rollbacks, so
     /// [`is_connected`](Engine::is_connected) answers in `O(1)` at any
-    /// round boundary — the sharded driver in particular reuses this
-    /// one structure across rounds instead of re-cloning per round.
+    /// round boundary, reusing this one structure across rounds
+    /// instead of re-deriving it per round.
     pub fn track_connectivity(&mut self) {
         self.connectivity = Some(DynamicConnectivity::new(self.gp.graph()));
     }
@@ -1163,6 +1161,10 @@ impl Engine {
             return Ok(());
         }
         let check = !balancer.may_overdraw();
+        // Both the vector and the scalar rounds write loads behind the
+        // argmax index's back; drop it and let the next planned
+        // injection rebuild.
+        self.argmax = None;
         // Vectorized whole-array rounds, when the configuration allows:
         // a closed-form uniform scheme on a static, closed, fully awake
         // system. "Static" and "closed" are judged by `is_noop`, not by
@@ -1202,10 +1204,6 @@ impl Engine {
                         step: self.step + 1,
                     });
                 }
-                // This path writes loads behind the argmax index's
-                // back; drop it and let the next planned injection
-                // rebuild.
-                self.argmax = None;
                 let config = self.vector_config;
                 let before = self.vector_stats;
                 let (gp, gather) = self.gp.planned(config.strategy, sink, self.step as u64 + 1);
@@ -1243,27 +1241,6 @@ impl Engine {
                 sink.instant(Phase::VectorDispatch, self.step as u64 + 1, 0);
             }
         }
-        self.kernel_rounds(check, steps, schedule, workload, sink, |gp, u, x, fl| {
-            balancer.kernel_node(gp, u, x, fl)
-        })
-    }
-
-    /// The shared plumbing of the plan-free paths: allocates the back
-    /// buffer, streams the rounds through [`kernel::run_rounds`], and
-    /// applies the returned counters — so the kernel and the
-    /// degenerate one-thread sharded entry cannot drift apart.
-    fn kernel_rounds<S: TopologySchedule + ?Sized, W: Workload + ?Sized, Si: Sink>(
-        &mut self,
-        check: bool,
-        steps: usize,
-        schedule: Option<&mut S>,
-        workload: Option<&mut W>,
-        sink: &mut Si,
-        mut per_node: impl FnMut(&BalancingGraph, usize, i64, &mut [u64]),
-    ) -> Result<(), EngineError> {
-        // The plan-free paths write loads behind the argmax index's
-        // back; drop it and let the next planned injection rebuild.
-        self.argmax = None;
         let mut back = vec![0i64; self.gp.num_nodes()];
         let gp = self.gp.mutate();
         let loads = self.loads.as_mut_slice();
@@ -1280,7 +1257,7 @@ impl Engine {
             schedule,
             workload,
             self.connectivity.as_mut(),
-            |gp, u, x, fl| per_node(gp, u, x, fl),
+            balancer,
             sink,
         );
         self.step += stats.steps_done;
@@ -1289,182 +1266,6 @@ impl Engine {
         self.injected_total += stats.injected;
         self.topology_events += stats.topology_events;
         self.negative_rescans += stats.negative_rescans;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Runs `steps` rounds of a [`ShardedBalancer`] with the node set
-    /// split across `threads` worker threads (clamped to `1..=n`).
-    ///
-    /// The final loads are **bit-identical** to driving the same scheme
-    /// through [`step`](Engine::step)/[`run`](Engine::run)/
-    /// [`run_fast`](Engine::run_fast), for any thread count: planning
-    /// is per-node, routing is integer addition, and shard contributions
-    /// commute. Like [`run_fast`](Engine::run_fast) this path skips the
-    /// ledger and monitor. On error the loads are those after the last
-    /// fully completed round and the error is the same one the serial
-    /// engine would report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_parallel(
-        &mut self,
-        balancer: &dyn ShardedBalancer,
-        steps: usize,
-        threads: usize,
-    ) -> Result<(), EngineError> {
-        self.run_parallel_with(balancer, steps, threads, NoWorkload::none())
-    }
-
-    /// [`run_parallel`](Engine::run_parallel) with per-round workload
-    /// injection: one designated worker drives the workload over an
-    /// assembled global load view each round and the deltas are applied
-    /// shard-locally, keeping the result bit-identical to the serial
-    /// paths under any workload and any thread count (see
-    /// [`parallel`](crate::parallel) for the phase structure). The
-    /// closed-system `None` case skips the injection phases and their
-    /// barriers entirely.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered — the same
-    /// error, on the same step and node, the serial engine would
-    /// report; the erroring round's injection is undone.
-    pub fn run_parallel_with<W: Workload + ?Sized>(
-        &mut self,
-        balancer: &dyn ShardedBalancer,
-        steps: usize,
-        threads: usize,
-        workload: Option<&mut W>,
-    ) -> Result<(), EngineError> {
-        self.run_parallel_dyn(balancer, steps, threads, StaticTopology::none(), workload)
-    }
-
-    /// [`run_parallel_with`](Engine::run_parallel_with) with per-round
-    /// topology churn: worker 0 drives the schedule exactly once per
-    /// round and broadcasts the validated events; every worker applies
-    /// them to its own graph replica, so the sharded rounds see the
-    /// identical graph the serial paths see — bit-identity holds for
-    /// any thread count under any schedule × workload combination (see
-    /// [`parallel`](crate::parallel) for the phase structure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered — the same
-    /// error, on the same step and node, the serial engine would
-    /// report; the erroring round's injection and topology events are
-    /// undone.
-    pub fn run_parallel_dyn<S: TopologySchedule + ?Sized, W: Workload + ?Sized>(
-        &mut self,
-        balancer: &dyn ShardedBalancer,
-        steps: usize,
-        threads: usize,
-        schedule: Option<&mut S>,
-        workload: Option<&mut W>,
-    ) -> Result<(), EngineError> {
-        self.run_parallel_dyn_traced(balancer, steps, threads, schedule, workload, &mut NoopSink)
-    }
-
-    /// [`run_parallel_dyn`](Engine::run_parallel_dyn) with a tracing
-    /// [`Sink`]: the driver worker times the sharded protocol's
-    /// barrier phases — topology drive + replay, injection
-    /// publish/assemble/apply, plan + accumulate, merge — and the
-    /// run-level totals surface here as `ShardTopology` /
-    /// `ShardInject` / `ShardPlan` / `ShardMerge` spans (one span per
-    /// phase per run, carrying the summed ns across all rounds). The
-    /// one-thread degenerate path emits the serial kernel's per-round
-    /// spans instead. Sinks observe only: loads, errors and counters
-    /// are bit-identical for any sink and any thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_parallel_dyn`](Engine::run_parallel_dyn).
-    pub fn run_parallel_dyn_traced<S, W, Si>(
-        &mut self,
-        balancer: &dyn ShardedBalancer,
-        steps: usize,
-        threads: usize,
-        schedule: Option<&mut S>,
-        workload: Option<&mut W>,
-        sink: &mut Si,
-    ) -> Result<(), EngineError>
-    where
-        S: TopologySchedule + ?Sized,
-        W: Workload + ?Sized,
-        Si: Sink,
-    {
-        let n = self.gp.num_nodes();
-        let threads = threads.max(1).min(n);
-        if steps == 0 {
-            return Ok(());
-        }
-        let check = !balancer.may_overdraw();
-        if workload.is_none() && schedule.is_none() && self.gp.graph().asleep_count() == 0 {
-            // Fully closed system: negatives cannot appear mid-run for
-            // a checked scheme, so one entry check suffices. Any
-            // dynamic ingredient defers to the round loops instead —
-            // a workload's drain may create (or an arrival cure) a
-            // negative, a failure handoff may cure one, and a round-1
-            // topology error must outrank a pre-existing negative the
-            // way the serial round order (mutate, inject, check)
-            // dictates, on the same step.
-            self.check_negative_preplan(check)?;
-        }
-        if threads == 1 {
-            // Degenerate sharding: the serial plan-free kernel path,
-            // planned through the same per-node entry point — one
-            // thread must never pay shard/synchronisation overhead.
-            return self.kernel_rounds(check, steps, schedule, workload, sink, |gp, u, x, fl| {
-                balancer.plan_node(gp, u, x, fl)
-            });
-        }
-
-        // The sharded path writes loads behind the argmax index's back.
-        self.argmax = None;
-        let base_step = self.step;
-        let (stats, err) = parallel::run_sharded(
-            self.gp.mutate(),
-            self.loads.as_mut_slice(),
-            balancer,
-            steps,
-            threads,
-            base_step,
-            schedule,
-            workload,
-            self.connectivity.as_mut(),
-            Si::ENABLED,
-        );
-        if Si::ENABLED {
-            // Run-level phase totals measured by the driver worker;
-            // one span per phase, step-tagged with the first round.
-            let phases = [
-                Phase::ShardTopology,
-                Phase::ShardInject,
-                Phase::ShardPlan,
-                Phase::ShardMerge,
-            ];
-            let anchor = sink.now_ns();
-            for (phase, &ns) in phases.iter().zip(&stats.phase_ns) {
-                if ns > 0 {
-                    sink.record(dlb_obs::Event {
-                        kind: dlb_obs::EventKind::Span,
-                        phase: *phase,
-                        step: base_step as u64 + 1,
-                        at_ns: anchor,
-                        dur_ns: ns,
-                        value: 0,
-                    });
-                }
-            }
-        }
-        self.step += stats.steps_done;
-        self.negative_node_steps += stats.negative_node_steps;
-        self.negative_count = stats.negative_count;
-        self.injected_total += stats.injected;
-        self.topology_events += stats.topology_events;
         match err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -1515,7 +1316,7 @@ impl Engine {
             }
         }
         // Only the planned paths maintain the tracker, so it must not
-        // outlive this call: a later kernel/parallel run would leave it
+        // outlive this call: a later kernel run would leave it
         // stale.
         self.tracker = None;
         outcome
@@ -1753,13 +1554,11 @@ mod tests {
             engine.run_fast(&mut bal, 5),
             Err(EngineError::NegativeLoad { node: 0, .. })
         ));
-        for threads in [1, 2, 4] {
-            let mut engine = Engine::new(lazy_cycle(4), initial.clone());
-            assert!(matches!(
-                engine.run_parallel(&SendFloor::new(), 5, threads),
-                Err(EngineError::NegativeLoad { node: 0, .. })
-            ));
-        }
+        let mut engine = Engine::new(lazy_cycle(4), initial.clone());
+        assert!(matches!(
+            engine.run_kernel(&mut bal, 5),
+            Err(EngineError::NegativeLoad { node: 0, .. })
+        ));
     }
 
     #[test]
@@ -1780,52 +1579,32 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_is_bit_identical_for_any_thread_count() {
-        let n = 37; // deliberately not divisible by the thread counts
-        let reference = {
-            let mut engine = Engine::new(lazy_cycle(n), LoadVector::point_mass(n, 7411));
-            engine.run(&mut SendFloor::new(), 150).unwrap();
-            engine.loads().clone()
-        };
-        for threads in [1, 2, 3, 4, 5, 8] {
-            let mut engine = Engine::new(lazy_cycle(n), LoadVector::point_mass(n, 7411));
-            engine
-                .run_parallel(&SendFloor::new(), 150, threads)
-                .unwrap();
-            assert_eq!(
-                engine.loads(),
-                &reference,
-                "loads diverged at {threads} threads"
-            );
-            assert_eq!(engine.step_count(), 150);
-            assert_eq!(engine.loads().total(), 7411);
-        }
-    }
-
-    #[test]
-    fn run_parallel_reports_overdraw_like_serial() {
+    fn kernel_reports_send_round_overdraw_cleanly() {
         // SEND([x/d+]) on a lazy graph is fine; on a graph with too few
-        // self-loops its plan over-sends, which the engine must turn
-        // into the same Overdraw error on every path (the parallel path
-        // must not panic or hang).
+        // self-loops its plan over-sends, which the kernel path must
+        // turn into a clean Overdraw error (never a panic, never a
+        // wrapped flow), leaving the loads untouched.
         use crate::schemes::SendRound;
         // Bare graph (d° = 0 < d): with odd loads, SEND([x/d+]) rounds
         // up on both originals and over-sends by one — and e = 1 < d
         // exercises the saturating `loop_extras` arithmetic.
-        let make = || BalancingGraph::bare(generators::cycle(6).unwrap());
         let initial = LoadVector::uniform(6, 11);
-        let mut serial = Engine::new(make(), initial.clone());
-        // Plans via plan_node (threads = 1) to avoid the serial plan()'s
-        // intentionally loud assert.
-        let serial_err = serial.run_parallel(&SendRound::new(), 3, 1).unwrap_err();
-        for threads in [2, 3] {
-            let mut engine = Engine::new(make(), initial.clone());
-            let err = engine
-                .run_parallel(&SendRound::new(), 3, threads)
-                .unwrap_err();
-            assert_eq!(err, serial_err, "error diverged at {threads} threads");
-            assert_eq!(engine.loads(), serial.loads());
-        }
+        let mut engine = Engine::new(
+            BalancingGraph::bare(generators::cycle(6).unwrap()),
+            initial.clone(),
+        );
+        let err = engine.run_kernel(&mut SendRound::new(), 3).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Overdraw {
+                node: 0,
+                load: 11,
+                planned: 12,
+                step: 1
+            }
+        );
+        assert_eq!(engine.loads(), &initial);
+        assert_eq!(engine.step_count(), 0);
     }
 
     /// Drops `rate` tokens on node 0 every round.
@@ -1898,19 +1677,6 @@ mod tests {
         .unwrap();
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.injected_total(), reference.injected_total());
-
-        for threads in [1, 2, 3] {
-            let mut par = make();
-            par.run_parallel_with(
-                &SendFloor::new(),
-                30,
-                threads,
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
-            .unwrap();
-            assert_eq!(par.loads(), reference.loads(), "parallel({threads})");
-            assert_eq!(par.injected_total(), reference.injected_total());
-        }
     }
 
     #[test]
@@ -1952,22 +1718,6 @@ mod tests {
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.step_count(), reference.step_count());
         assert_eq!(kern.injected_total(), reference.injected_total());
-
-        for threads in [1, 2, 3] {
-            let mut par = make();
-            let par_err = par
-                .run_parallel_with(
-                    &SendFloor::new(),
-                    50,
-                    threads,
-                    Some(&mut Node1Drain { rate: 4 }),
-                )
-                .unwrap_err();
-            assert_eq!(par_err, ref_err, "parallel({threads})");
-            assert_eq!(par.loads(), reference.loads(), "parallel({threads})");
-            assert_eq!(par.step_count(), reference.step_count());
-            assert_eq!(par.injected_total(), reference.injected_total());
-        }
     }
 
     /// Regression (PR 4): `run_until` used to evaluate its predicate
@@ -2107,21 +1857,6 @@ mod tests {
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.graph(), reference.graph());
         assert_eq!(kern.topology_events_applied(), 3);
-
-        for threads in [1usize, 2, 3] {
-            let mut par = make();
-            par.run_parallel_dyn(
-                &SendFloor::new(),
-                20,
-                threads,
-                Some(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
-            .unwrap();
-            assert_eq!(par.loads(), reference.loads(), "parallel({threads})");
-            assert_eq!(par.graph(), reference.graph(), "parallel({threads})");
-            assert_eq!(par.topology_events_applied(), 3);
-        }
     }
 
     #[test]
@@ -2129,52 +1864,39 @@ mod tests {
         use dlb_graph::traversal;
         use dlb_topology::schedules::PeriodicRewiring;
 
-        // Serial, kernel and sharded churn runs must all keep the
+        // Serial and kernel churn runs must both keep the
         // tracked structure in agreement with the BFS oracle on the
         // engine's own graph — the whole point of threading the
         // checker through `drive_events_checked`.
-        let run = |mode: usize| {
+        let run = |kernel: bool| {
             let gp = BalancingGraph::lazy(generators::cycle(64).unwrap());
             let mut e = Engine::new(gp, LoadVector::point_mass(64, 640));
             e.track_connectivity();
             assert_eq!(e.is_connected(), Some(true));
             let mut sched = PeriodicRewiring::new(2, 3, 23);
-            match mode {
-                0 => {
-                    for _ in 0..12 {
-                        e.step_dyn(&mut SendFloor::new(), Some(&mut sched), None)
-                            .unwrap();
-                        assert_eq!(
-                            e.is_connected(),
-                            Some(traversal::is_connected(e.graph().graph())),
-                            "serial drift"
-                        );
-                    }
-                }
-                1 => {
-                    e.run_kernel_dyn::<_, _, crate::workload::NoWorkload>(
-                        &mut SendFloor::new(),
-                        12,
-                        Some(&mut sched),
-                        None,
-                    )
-                    .unwrap();
-                }
-                _ => {
-                    e.run_parallel_dyn::<_, crate::workload::NoWorkload>(
-                        &SendFloor::new(),
-                        12,
-                        3,
-                        Some(&mut sched),
-                        None,
-                    )
-                    .unwrap();
+            if kernel {
+                e.run_kernel_dyn::<_, _, crate::workload::NoWorkload>(
+                    &mut SendFloor::new(),
+                    12,
+                    Some(&mut sched),
+                    None,
+                )
+                .unwrap();
+            } else {
+                for _ in 0..12 {
+                    e.step_dyn(&mut SendFloor::new(), Some(&mut sched), None)
+                        .unwrap();
+                    assert_eq!(
+                        e.is_connected(),
+                        Some(traversal::is_connected(e.graph().graph())),
+                        "serial drift"
+                    );
                 }
             }
             assert_eq!(
                 e.is_connected(),
                 Some(traversal::is_connected(e.graph().graph())),
-                "post-run drift (mode {mode})"
+                "post-run drift (kernel: {kernel})"
             );
             assert_eq!(
                 e.is_connected(),
@@ -2182,9 +1904,8 @@ mod tests {
                 "rewiring preserves connectivity"
             );
         };
-        run(0);
-        run(1);
-        run(2);
+        run(false);
+        run(true);
     }
 
     #[test]
@@ -2356,22 +2077,6 @@ mod tests {
             kern.topology_events_applied(),
             reference.topology_events_applied()
         );
-
-        for threads in [2usize, 3] {
-            let mut par = make();
-            let par_err = par
-                .run_parallel_dyn(
-                    &SendFloor::new(),
-                    50,
-                    threads,
-                    Some(&mut SwapEveryRound),
-                    Some(&mut Node1Drain { rate: 4 }),
-                )
-                .unwrap_err();
-            assert_eq!(par_err, ref_err, "parallel({threads})");
-            assert_eq!(par.loads(), reference.loads());
-            assert_eq!(par.graph(), reference.graph(), "parallel({threads})");
-        }
     }
 
     #[test]
@@ -2433,31 +2138,14 @@ mod tests {
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.step_count(), 2);
         assert_eq!(kern.graph(), reference.graph());
-
-        for threads in [2usize, 3] {
-            let mut par = make();
-            let par_err = par
-                .run_parallel_dyn(
-                    &SendFloor::new(),
-                    5,
-                    threads,
-                    Some(&mut BadAtRound3),
-                    Option::<&mut NoWorkload>::None,
-                )
-                .unwrap_err();
-            assert_eq!(par_err, ref_err, "parallel({threads})");
-            assert_eq!(par.loads(), reference.loads());
-            assert_eq!(par.step_count(), 2);
-            assert_eq!(par.graph(), reference.graph());
-        }
     }
 
     /// Regression (PR 5 review): the serial round order is *mutate
     /// topology, inject, negative-check* — so with a negative seed
     /// and a churning schedule, a rejected round-1 event must win as
     /// `Topology` and a valid round-1 event must surface the seed as
-    /// `NegativeLoad`, **identically on every path** (the sharded
-    /// entry check used to pre-empt round 1's topology phase).
+    /// `NegativeLoad`, **identically on every path** (a plain entry
+    /// check would pre-empt round 1's topology phase).
     #[test]
     fn negative_seed_under_churn_orders_errors_like_the_serial_round() {
         struct ValidSwapRound1;
@@ -2525,19 +2213,16 @@ mod tests {
             .unwrap_err()
         });
         assert!(matches!(reference, EngineError::Topology { step: 1, .. }));
-        for threads in [1usize, 2, 3] {
-            let err = drive(&|e| {
-                e.run_parallel_dyn(
-                    &SendFloor::new(),
-                    5,
-                    threads,
-                    Some(&mut BadAtRound1),
-                    Option::<&mut NoWorkload>::None,
-                )
-                .unwrap_err()
-            });
-            assert_eq!(err, reference, "parallel({threads})");
-        }
+        let err = drive(&|e| {
+            e.run_kernel_dyn(
+                &mut SendFloor::new(),
+                5,
+                Some(&mut BadAtRound1),
+                Option::<&mut NoWorkload>::None,
+            )
+            .unwrap_err()
+        });
+        assert_eq!(err, reference, "kernel");
         // Valid round-1 churn (a swap every round): the negative seed
         // itself must surface, with the erroring round's swap rolled
         // back everywhere.
@@ -2557,133 +2242,16 @@ mod tests {
                 step: 1
             }
         );
-        for threads in [1usize, 2, 3] {
-            let err = drive(&|e| {
-                e.run_parallel_dyn(
-                    &SendFloor::new(),
-                    5,
-                    threads,
-                    Some(&mut ValidSwapRound1),
-                    Option::<&mut NoWorkload>::None,
-                )
-                .unwrap_err()
-            });
-            assert_eq!(err, reference, "parallel({threads})");
-        }
-    }
-
-    /// A scheme or workload that panics (violating its documented
-    /// no-panic contract) must surface as a clean
-    /// [`EngineError::WorkerPanic`] with the round rolled back whole —
-    /// never a stranded peer at a round barrier, never a propagated
-    /// panic tearing the caller down. Deterministic: the panic fires
-    /// on round 1 on every schedule.
-    #[test]
-    fn worker_panic_surfaces_as_error_with_round_rolled_back() {
-        struct PanicAtNode(usize);
-        impl Balancer for PanicAtNode {
-            fn name(&self) -> &'static str {
-                "panic-at-node"
-            }
-            fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-                for u in 0..gp.num_nodes() {
-                    let x = loads.get(u);
-                    if x != 0 {
-                        self.plan_node(gp, u, x, plan.node_mut(u));
-                    }
-                }
-            }
-        }
-        impl crate::ShardedBalancer for PanicAtNode {
-            fn plan_node(&self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
-                assert!(u != self.0, "injected panic at node {u}");
-                SendFloor::new().plan_node(gp, u, load, flows);
-            }
-        }
-        struct SwapAt1;
-        impl TopologySchedule for SwapAt1 {
-            fn label(&self) -> String {
-                "swap-at-1".into()
-            }
-            fn events(
-                &mut self,
-                round: usize,
-                g: &dlb_graph::RegularGraph,
-                out: &mut Vec<TopologyEvent>,
-            ) {
-                if round == 1 && g.has_edge(4, 5) && g.has_edge(8, 9) {
-                    out.push(TopologyEvent::Swap {
-                        a: 4,
-                        b: 5,
-                        c: 8,
-                        d: 9,
-                    });
-                }
-            }
-        }
-        struct PanicWorkload;
-        impl crate::Workload for PanicWorkload {
-            fn label(&self) -> String {
-                "panic-workload".into()
-            }
-            fn inject(&mut self, _round: usize, _loads: &[i64], _deltas: &mut [i64]) {
-                panic!("injected workload panic");
-            }
-        }
-
-        let initial = LoadVector::new(vec![7i64; 12]);
-        let check = |err: EngineError, engine: &Engine, needle: &str, label: &str| {
-            match &err {
-                EngineError::WorkerPanic { step: 1, message } => {
-                    assert!(message.contains(needle), "{label}: message {message:?}");
-                }
-                other => panic!("{label}: expected WorkerPanic, got {other:?}"),
-            }
-            assert_eq!(engine.step_count(), 0, "{label}");
-            assert_eq!(
-                engine.loads(),
-                &initial,
-                "{label}: failed round must not mutate"
-            );
-            assert_eq!(
-                engine.graph(),
-                &lazy_cycle(12),
-                "{label}: failed round must roll its events back"
-            );
-        };
-
-        // Node 5 sits in shard 0 of a 2-way split and shard 1 of a
-        // 3-way split, so both driver and non-driver workers panic.
-        for threads in [2usize, 3] {
-            // Fixed topology, plan-phase panic.
-            let mut engine = Engine::new(lazy_cycle(12), initial.clone());
-            let err = engine
-                .run_parallel(&PanicAtNode(5), 5, threads)
-                .unwrap_err();
-            check(err, &engine, "injected panic at node 5", "fixed plan");
-
-            // Churn round, plan-phase panic: the round's swap must be
-            // rolled back along with the loads.
-            let mut engine = Engine::new(lazy_cycle(12), initial.clone());
-            let err = engine
-                .run_parallel_dyn(
-                    &PanicAtNode(5),
-                    5,
-                    threads,
-                    Some(&mut SwapAt1),
-                    Option::<&mut NoWorkload>::None,
-                )
-                .unwrap_err();
-            check(err, &engine, "injected panic at node 5", "churn plan");
-
-            // Driver-side workload panic: stale or half-written deltas
-            // are undone exactly by the per-worker rollback.
-            let mut engine = Engine::new(lazy_cycle(12), initial.clone());
-            let err = engine
-                .run_parallel_with(&SendFloor::new(), 5, threads, Some(&mut PanicWorkload))
-                .unwrap_err();
-            check(err, &engine, "injected workload panic", "workload");
-        }
+        let err = drive(&|e| {
+            e.run_kernel_dyn(
+                &mut SendFloor::new(),
+                5,
+                Some(&mut ValidSwapRound1),
+                Option::<&mut NoWorkload>::None,
+            )
+            .unwrap_err()
+        });
+        assert_eq!(err, reference, "kernel");
     }
 
     /// An argmax-hungry workload that records which hints it got, so
@@ -2848,30 +2416,6 @@ mod tests {
             )
             .unwrap();
         assert_counters_match(&resumed, &reference, "kernel-path resume");
-
-        // And through the sharded path.
-        for threads in [1usize, 3] {
-            let mut par = make();
-            par.run_parallel_dyn(
-                &SendFloor::new(),
-                3,
-                threads,
-                Some(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
-            .unwrap();
-            let mut resumed = Engine::from_state(par.export_state());
-            resumed
-                .run_parallel_dyn(
-                    &SendFloor::new(),
-                    17,
-                    threads,
-                    Some(&mut MiniChurn),
-                    Some(&mut Node0Arrivals { rate: 5 }),
-                )
-                .unwrap();
-            assert_counters_match(&resumed, &reference, "sharded resume");
-        }
     }
 
     #[test]

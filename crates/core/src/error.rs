@@ -47,12 +47,10 @@ pub enum EngineError {
         /// The graph layer's description of the violation.
         reason: String,
     },
-    /// A worker thread of the sharded runner panicked mid-round — a
-    /// balancer, workload or schedule implementation violated its
-    /// no-panic contract. The round is rolled back whole (loads, graph
-    /// and injection restored to the last completed round) and every
-    /// peer exits cleanly through the abort path instead of deadlocking
-    /// at a round barrier.
+    /// A worker thread panicked mid-round — a balancer, workload or
+    /// schedule implementation violated its no-panic contract. No
+    /// in-tree execution path reports it; the variant is kept so
+    /// persisted errors that carry it still decode.
     WorkerPanic {
         /// The step during which the panic unwound (1-based).
         step: usize,

@@ -29,7 +29,7 @@
 //!
 //! The loop is additionally monomorphised over an optional
 //! [`Workload`] **and** an optional
-//! [`TopologySchedule`](dlb_topology::TopologySchedule):
+//! [`TopologySchedule`]:
 //! [`Engine::run_kernel_dyn`](crate::Engine::run_kernel_dyn) runs the
 //! full dynamic round structure — mutate topology, inject load, hand
 //! asleep queues to live neighbours, negative-check, plan, validate,
@@ -51,12 +51,8 @@ pub mod vector;
 
 /// A balancer whose per-node flows are a pure function of the node's
 /// current load and the scheme's own per-node state — the class the
-/// plan-free kernel path can execute.
-///
-/// This is the mutable-state sibling of
-/// [`ShardedBalancer`](crate::ShardedBalancer): sharding additionally
-/// requires statelessness (`&self` + `Sync`), while a kernel may carry
-/// per-node state (the rotor-router advances its rotors as it plans).
+/// plan-free kernel path can execute. A kernel may carry per-node
+/// state (the rotor-router advances its rotors as it plans).
 /// Implementations must write **every** entry of `flows`
 /// (`flows.len() == d⁺`; the buffer is reused across nodes and arrives
 /// dirty) and must produce exactly the flows their
@@ -82,9 +78,11 @@ pub trait KernelBalancer: Balancer {
     /// The scheme's closed-form uniform description on `gp`, if it has
     /// one — the capability hook behind the engine's whole-array
     /// vector dispatch (see [`vector`]). The default answers `None`
-    /// (stateful or non-uniform schemes keep the scalar stream);
-    /// schemes implementing [`vector::UniformKernel`] override this to
-    /// bridge to [`UniformKernel::uniform_spec`](vector::UniformKernel::uniform_spec).
+    /// (stateful or non-uniform schemes keep the scalar stream).
+    ///
+    /// An override returns `None` on graphs where its closed form does
+    /// not hold (e.g. SEND([x/d⁺]) with `d° < d`, which must keep the
+    /// scalar path so its error behaviour stays bit-identical).
     fn uniform_kernel(&self, gp: &BalancingGraph) -> Option<vector::UniformSpec> {
         let _ = gp;
         None
@@ -131,13 +129,11 @@ pub(crate) struct KernelRunStats {
 }
 
 /// Sums one planned node's original-edge outflow and, when `check` is
-/// set, enforces the non-overdrawing invariant. Shared by the serial
-/// kernel rounds and the sharded workers so the two plan-free paths
-/// cannot drift apart in validation or error reporting.
+/// set, enforces the non-overdrawing invariant.
 ///
 /// `step` is the 1-based step the error would belong to.
 #[inline]
-pub(crate) fn validate_outflow(
+fn validate_outflow(
     flows: &[u64],
     d: usize,
     check: bool,
@@ -202,10 +198,8 @@ impl FlowsBuf for Vec<u64> {
 /// Applies a round's injection deltas to `loads` (or, with `negate`,
 /// undoes them — the exact inverse, each negative-count update
 /// included, so an erroring round restores both the loads and the
-/// caller's incremental counter to the last completed round). Shared
-/// by the serial kernel and the sharded workers so the plan-free paths
-/// cannot drift apart in how injection lands. Returns the net signed
-/// delta (pre-`negate`).
+/// caller's incremental counter to the last completed round). Returns
+/// the net signed delta (pre-`negate`).
 ///
 /// Two loops behind one probe: sparse delta vectors (hotspot, drain —
 /// a handful of nonzero entries) keep the skip-zero branch, while
@@ -215,12 +209,7 @@ impl FlowsBuf for Vec<u64> {
 /// the sum or the negative count, so the two loops are exactly
 /// equivalent and the probe is free to be a heuristic.
 #[inline]
-pub(crate) fn apply_deltas(
-    loads: &mut [i64],
-    deltas: &[i64],
-    negate: bool,
-    negative: &mut usize,
-) -> i64 {
+fn apply_deltas(loads: &mut [i64], deltas: &[i64], negate: bool, negative: &mut usize) -> i64 {
     const PROBE: usize = 64;
     let probe_len = deltas.len().min(PROBE);
     let nonzero = deltas[..probe_len].iter().filter(|&&dv| dv != 0).count();
@@ -280,7 +269,7 @@ fn apply_deltas_dense(
 /// `Inject`/`Handoff` and fused `Stream` spans. Sinks observe only —
 /// loads, errors and counters are bit-identical across sinks.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_rounds<F, S, W, Si>(
+pub(crate) fn run_rounds<K, S, W, Si>(
     gp: &mut BalancingGraph,
     loads: &mut [i64],
     back: &mut [i64],
@@ -288,29 +277,29 @@ pub(crate) fn run_rounds<F, S, W, Si>(
     schedule: Option<&mut S>,
     workload: Option<&mut W>,
     checker: Option<&mut DynamicConnectivity>,
-    kernel: F,
+    kernel: &mut K,
     sink: &mut Si,
 ) -> (KernelRunStats, Option<EngineError>)
 where
-    F: FnMut(&BalancingGraph, usize, i64, &mut [u64]),
+    K: KernelBalancer + ?Sized,
     S: TopologySchedule + ?Sized,
     W: Workload + ?Sized,
     Si: Sink,
 {
     match gp.degree_plus() {
-        2 => check_impl::<F, [u64; 2], S, W, Si>(
+        2 => check_impl::<K, [u64; 2], S, W, Si>(
             gp, loads, back, run, schedule, workload, checker, kernel, sink,
         ),
-        4 => check_impl::<F, [u64; 4], S, W, Si>(
+        4 => check_impl::<K, [u64; 4], S, W, Si>(
             gp, loads, back, run, schedule, workload, checker, kernel, sink,
         ),
-        6 => check_impl::<F, [u64; 6], S, W, Si>(
+        6 => check_impl::<K, [u64; 6], S, W, Si>(
             gp, loads, back, run, schedule, workload, checker, kernel, sink,
         ),
-        8 => check_impl::<F, [u64; 8], S, W, Si>(
+        8 => check_impl::<K, [u64; 8], S, W, Si>(
             gp, loads, back, run, schedule, workload, checker, kernel, sink,
         ),
-        _ => check_impl::<F, Vec<u64>, S, W, Si>(
+        _ => check_impl::<K, Vec<u64>, S, W, Si>(
             gp, loads, back, run, schedule, workload, checker, kernel, sink,
         ),
     }
@@ -323,7 +312,7 @@ where
 /// count through every write — the fold that replaced the per-round
 /// `O(n)` rescan.
 #[allow(clippy::too_many_arguments)]
-fn check_impl<F, B, S, W, Si>(
+fn check_impl<K, B, S, W, Si>(
     gp: &mut BalancingGraph,
     loads: &mut [i64],
     back: &mut [i64],
@@ -331,34 +320,34 @@ fn check_impl<F, B, S, W, Si>(
     schedule: Option<&mut S>,
     workload: Option<&mut W>,
     checker: Option<&mut DynamicConnectivity>,
-    kernel: F,
+    kernel: &mut K,
     sink: &mut Si,
 ) -> (KernelRunStats, Option<EngineError>)
 where
-    F: FnMut(&BalancingGraph, usize, i64, &mut [u64]),
+    K: KernelBalancer + ?Sized,
     B: FlowsBuf,
     S: TopologySchedule + ?Sized,
     W: Workload + ?Sized,
     Si: Sink,
 {
     if run.check {
-        rounds_impl::<F, B, S, W, Si, true>(
+        rounds_impl::<K, B, S, W, Si, true>(
             gp, loads, back, run, schedule, workload, checker, kernel, sink,
         )
     } else {
-        rounds_impl::<F, B, S, W, Si, false>(
+        rounds_impl::<K, B, S, W, Si, false>(
             gp, loads, back, run, schedule, workload, checker, kernel, sink,
         )
     }
 }
 
-/// The round loop, monomorphised over the kernel closure, the flow
+/// The round loop, monomorphised over the scheme, the flow
 /// buffer (and through it, for the array buffers, the total degree),
 /// the schedule type and the workload type — so the
 /// `StaticTopology`/`NoWorkload` instantiation folds the churn and
 /// injection branches away and compiles to the closed-system loop.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn rounds_impl<F, B, S, W, Si, const CHECK: bool>(
+fn rounds_impl<K, B, S, W, Si, const CHECK: bool>(
     gp: &mut BalancingGraph,
     loads: &mut [i64],
     back: &mut [i64],
@@ -366,11 +355,11 @@ fn rounds_impl<F, B, S, W, Si, const CHECK: bool>(
     mut schedule: Option<&mut S>,
     mut workload: Option<&mut W>,
     mut checker: Option<&mut DynamicConnectivity>,
-    mut kernel: F,
+    kernel: &mut K,
     sink: &mut Si,
 ) -> (KernelRunStats, Option<EngineError>)
 where
-    F: FnMut(&BalancingGraph, usize, i64, &mut [u64]),
+    K: KernelBalancer + ?Sized,
     B: FlowsBuf,
     S: TopologySchedule + ?Sized,
     W: Workload + ?Sized,
@@ -527,7 +516,7 @@ where
                 continue;
             }
             let fl = flows.as_mut();
-            kernel(gp, u, x, fl);
+            kernel.kernel_node(gp, u, x, fl);
             // Nodes are streamed in ascending id order, which is
             // exactly the planned paths' first-touch order for
             // per-node schemes: same error node, same step.

@@ -92,20 +92,6 @@ impl UniformSpec {
     }
 }
 
-/// Capability trait: a scheme that can declare its per-port flows as a
-/// closed-form uniform function of load on the given graph.
-///
-/// Implementations return `None` on graphs where the closed form does
-/// not hold (e.g. SEND([x/d⁺]) with `d° < d`, which must keep the
-/// scalar path so its error behaviour stays bit-identical). Stateful
-/// schemes (rotor-router) simply never implement this trait — the
-/// default [`KernelBalancer::uniform_kernel`](super::KernelBalancer::uniform_kernel)
-/// hook already answers `None` for them.
-pub trait UniformKernel {
-    /// The uniform closed form on `gp`, if the scheme has one there.
-    fn uniform_spec(&self, gp: &BalancingGraph) -> Option<UniformSpec>;
-}
-
 /// Which gather strategy the vector path uses for pass 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VectorStrategy {

@@ -66,7 +66,6 @@ pub mod fairness;
 mod flow;
 pub mod kernel;
 mod load;
-pub mod parallel;
 pub mod potential;
 pub mod schemes;
 pub mod sync;
@@ -77,12 +76,10 @@ pub use engine::{Engine, EngineState, StepSummary};
 pub use error::EngineError;
 pub use flow::{CumulativeLedger, FlowPlan};
 pub use kernel::vector::{
-    UniformKernel, UniformSpec, VectorConfig, VectorStats, VectorStrategy, VectorWidth,
-    I32_HEADROOM_LIMIT,
+    UniformSpec, VectorConfig, VectorStats, VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
 };
 pub use kernel::KernelBalancer;
 pub use load::LoadVector;
-pub use parallel::ShardedBalancer;
 pub use workload::{NoWorkload, Workload};
 // The dynamic-topology vocabulary of the `*_dyn` entry points, re-
 // exported so engine callers need not name the topology crates.

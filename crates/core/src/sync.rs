@@ -1,39 +1,40 @@
-//! The engine's single doorway to synchronisation primitives.
+//! The workspace's single doorway to synchronisation primitives.
 //!
-//! Everything concurrent in `dlb-core` — the sharded runner's
-//! barriers, abort flags, merge locks and scoped workers — imports
-//! from this module instead of `std::sync` / `std::thread` directly
-//! (`tools/dlb-tidy` enforces this). Under a normal build the module
-//! is nothing but `pub use std::…` re-exports, so it costs exactly
-//! zero: same types, same codegen, no wrapper in sight.
+//! Everything concurrent built on `dlb-core` — today the `dlb-serve`
+//! batch scheduler's ticket counter, per-tenant locks and scoped
+//! workers — imports from this module instead of `std::sync` /
+//! `std::thread` directly (`tools/dlb-tidy` enforces this inside
+//! `dlb-core`). Under a normal build the module is nothing but
+//! `pub use std::…` re-exports, so it costs exactly zero: same types,
+//! same codegen, no wrapper in sight.
 //!
 //! Compiled with `RUSTFLAGS="--cfg dlb_model"` the same names resolve
 //! to the vendored `loom` shim instead, whose primitives report every
 //! operation to a cooperative scheduler. The `dlb-model` crate then
-//! drives the *real* engine code through every interleaving of a small
-//! configuration — no test double of the protocol, the protocol
+//! drives the *real* scheduler code through every interleaving of a
+//! small configuration — no test double of the protocol, the protocol
 //! itself. The cfg is a `RUSTFLAGS` switch rather than a cargo feature
 //! on purpose: feature unification would otherwise swap the primitives
 //! under every crate in the workspace the moment one test enabled it.
 //!
 //! The shim degrades to plain std behaviour when its primitives are
 //! created outside a model execution, so a `--cfg dlb_model` build of
-//! the whole engine still runs normally; only code called from inside
-//! `loom::model(|| …)` is scheduled.
+//! the whole workspace still runs normally; only code called from
+//! inside `loom::model(|| …)` is scheduled.
 
 #[cfg(not(dlb_model))]
-pub use std::sync::{Barrier, Mutex, MutexGuard};
+pub use std::sync::Mutex;
 
 #[cfg(dlb_model)]
-pub use loom::sync::{Barrier, Mutex, MutexGuard};
+pub use loom::sync::Mutex;
 
 /// Atomics: `std::sync::atomic` or the model-checked shim.
 pub mod atomic {
     #[cfg(not(dlb_model))]
-    pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[cfg(dlb_model)]
-    pub use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    pub use loom::sync::atomic::{AtomicUsize, Ordering};
 }
 
 /// Scoped threads: `std::thread::scope` or the model-checked shim.
@@ -43,30 +44,4 @@ pub mod thread {
 
     #[cfg(dlb_model)]
     pub use loom::thread::{scope, Scope, ScopedJoinHandle};
-}
-
-/// Compile-time switches that reintroduce historical engine bugs for
-/// the model checker to rediscover. Only present under `--cfg
-/// dlb_model`; release builds cannot even name them.
-#[cfg(dlb_model)]
-pub mod model_hooks {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// When set, the topology-abort check in the sharded runner reads
-    /// the general `failed` flag instead of `topo_failed` — the exact
-    /// race the dynamic-topology PR fixed: in a churn-only round a
-    /// fast worker's plan-phase error flips `failed` before a slow
-    /// worker reaches the topology check, which then bails early and
-    /// strands its peers at the round barrier.
-    ///
-    /// A plain std atomic on purpose: it is test *configuration*, not
-    /// modelled state, and must not add schedule choice points.
-    pub static TOPO_ABORT_READS_FAILED: AtomicBool = AtomicBool::new(false);
-
-    /// Reads the mutant switch (Relaxed: configuration set before the
-    /// exploration starts, constant throughout).
-    #[must_use]
-    pub fn topo_abort_reads_failed() -> bool {
-        TOPO_ABORT_READS_FAILED.load(Ordering::Relaxed)
-    }
 }

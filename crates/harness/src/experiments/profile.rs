@@ -2,7 +2,7 @@
 //! every engine execution path, driven through the PR 10 observability
 //! layer (`dlb-obs`).
 //!
-//! Five representative cells run with a recording [`RingSink`] (or the
+//! Four representative cells run with a recording [`RingSink`] (or the
 //! serve layer's profiled scheduler) and report per-phase totals and
 //! log-bucketed latency quantiles:
 //!
@@ -15,10 +15,6 @@
 //! * **kernel** — the plan-free delta-kernel path
 //!   (`run_kernel_dyn_traced`) for a stateful scheme: fused `stream`
 //!   spans, one per round;
-//! * **sharded** — the 2-worker parallel path
-//!   (`run_parallel_dyn_traced`) under churn and injection: the driver
-//!   worker's `shard_topology`/`shard_inject`/`shard_plan`/
-//!   `shard_merge` wall-clock totals;
 //! * **serve** — a tenant fleet through [`Server::trace_slice`]
 //!   (per-ticket `ticket`/`lock`/`step`/`merge` spans) and
 //!   [`Server::run_slice_profiled`] (threaded [`SliceProfile`]
@@ -196,54 +192,6 @@ fn cell_kernel(quick: bool) -> Result<Cell, RunError> {
         steps,
         bit_identical: traced.loads() == twin.loads(),
         rows: phase_rows("kernel", &sink),
-    })
-}
-
-/// The 2-worker sharded path under churn and injection: the driver
-/// worker's phase clock surfaces as one span per protocol phase.
-fn cell_sharded(quick: bool) -> Result<Cell, RunError> {
-    let n = if quick { 2048 } else { 8192 };
-    let steps = if quick { 64 } else { 128 };
-    let gp = BalancingGraph::lazy(generators::cycle(n)?);
-    let initial = LoadVector::point_mass(n, 16 * n as i64);
-    let sspec = ScheduleSpec::Periodic {
-        period: 4,
-        swaps: 2,
-        seed: 13,
-    };
-    let wspec = WorkloadSpec::Steady { rate: 8, seed: 17 };
-
-    let mut sink = RingSink::with_capacity(64);
-    let mut traced = Engine::new(gp.clone(), initial.clone());
-    let mut schedule = sspec.build();
-    let mut workload = wspec.build(n);
-    traced.run_parallel_dyn_traced(
-        &SendFloor::new(),
-        steps,
-        2,
-        schedule.as_deref_mut(),
-        Some(workload.as_mut()),
-        &mut sink,
-    )?;
-
-    let mut twin = Engine::new(gp, initial);
-    let mut schedule = sspec.build();
-    let mut workload = wspec.build(n);
-    twin.run_parallel_dyn(
-        &SendFloor::new(),
-        steps,
-        2,
-        schedule.as_deref_mut(),
-        Some(workload.as_mut()),
-    )?;
-
-    Ok(Cell {
-        name: "sharded",
-        n,
-        steps,
-        bit_identical: traced.loads() == twin.loads()
-            && traced.topology_events_applied() == twin.topology_events_applied(),
-        rows: phase_rows("sharded", &sink),
     })
 }
 
@@ -431,7 +379,6 @@ fn profile_to(
         cell_serial(quick, &mut trace_events)?,
         cell_churn(quick)?,
         cell_kernel(quick)?,
-        cell_sharded(quick)?,
     ];
     let (serve_cell, serve_profile, _prometheus) = cell_serve(quick, &mut trace_events)?;
     let overhead = measure_overhead(quick)?;
@@ -574,7 +521,7 @@ mod tests {
 
         let json = std::fs::read_to_string(&json_path).expect("json written");
         assert!(json.contains("\"schema\": \"dlb-profile/v8\""));
-        for cell in ["serial", "churn", "kernel", "sharded", "serve"] {
+        for cell in ["serial", "churn", "kernel", "serve"] {
             assert!(
                 json.contains(&format!("\"cell\": \"{cell}\"")),
                 "missing cell {cell}"
@@ -587,9 +534,6 @@ mod tests {
                 "missing serve phase {phase}"
             );
         }
-        // The sharded cell surfaces the driver's protocol phases.
-        assert!(json.contains("\"phase\": \"shard_plan\""));
-        assert!(json.contains("\"phase\": \"shard_merge\""));
         assert!(json.contains("\"serve_profile\""));
         assert!(json.contains("\"bit_identical\": true"));
         assert!(!json.contains("\"bit_identical\": false"));

@@ -2,9 +2,8 @@
 //!
 //! Sweeps scheme × graph × n over the instrumented stepping loop
 //! (`Engine::step`, per-step statistics), the fused serial fast path
-//! (`Engine::run_fast`), the plan-free delta-kernel path
-//! (`Engine::run_kernel`) and the sharded parallel path
-//! (`Engine::run_parallel`), cross-checking that every path produces
+//! (`Engine::run_fast`) and the plan-free delta-kernel path
+//! (`Engine::run_kernel`), cross-checking that every path produces
 //! bit-identical final loads. Graphs with poor generator labelings
 //! (random regular) are additionally measured after a reverse
 //! Cuthill–McKee relabeling: the run happens in the relabeled id space
@@ -31,8 +30,7 @@ use std::time::Instant;
 
 use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb_core::{
-    Engine, LoadVector, NoWorkload, ShardedBalancer, StaticTopology, VectorConfig, VectorStats,
-    VectorWidth,
+    Engine, LoadVector, NoWorkload, StaticTopology, VectorConfig, VectorStats, VectorWidth,
 };
 use dlb_graph::relabel::Relabeling;
 use dlb_graph::{BalancingGraph, PortOrder};
@@ -51,7 +49,6 @@ struct Measurement {
     graph: String,
     n: usize,
     path: String,
-    threads: usize,
     relabeled: bool,
     steps: usize,
     tokens: i64,
@@ -59,7 +56,7 @@ struct Measurement {
     bit_identical: bool,
     /// Which inner loop executed: `banded`/`blocked` for dispatched
     /// vector rounds, `scalar` for the streaming kernel, `planned`
-    /// for the plan-materialising paths, `sharded` for the workers.
+    /// for the plan-materialising paths.
     inner_loop: String,
     /// Load-buffer width of the executed rounds: `i32`, `i64`, or
     /// `i32+i64` when the headroom guard fell back mid-run.
@@ -73,16 +70,6 @@ impl Measurement {
 
     fn token_steps_per_sec(&self) -> f64 {
         (self.tokens as f64 * self.steps as f64) / self.elapsed_sec
-    }
-}
-
-/// The sharded-planning instance behind a [`SchemeSpec`], for schemes
-/// that have one (the stateless SEND family).
-fn sharded_instance(scheme: &SchemeSpec) -> Option<Box<dyn ShardedBalancer>> {
-    match scheme {
-        SchemeSpec::SendFloor => Some(Box::new(SendFloor::new())),
-        SchemeSpec::SendRound => Some(Box::new(SendRound::new())),
-        _ => None,
     }
 }
 
@@ -229,19 +216,6 @@ fn classify_kernel(stats: &VectorStats, steps: usize) -> (String, String) {
     (inner.into(), width.into())
 }
 
-fn run_parallel(
-    gp: &BalancingGraph,
-    balancer: &dyn ShardedBalancer,
-    initial: &LoadVector,
-    steps: usize,
-    threads: usize,
-) -> Result<(f64, LoadVector), RunError> {
-    let mut engine = Engine::new(gp.clone(), initial.clone());
-    let started = Instant::now();
-    engine.run_parallel(balancer, steps, threads)?;
-    Ok((started.elapsed().as_secs_f64(), engine.loads().clone()))
-}
-
 /// Runs the throughput sweep and writes `BENCH_PR8.json` (path
 /// overridable with the `DLB_BENCH_JSON` environment variable).
 ///
@@ -290,7 +264,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
         SchemeSpec::SendRound,
         SchemeSpec::RotorRouter,
     ];
-    let thread_counts: &[usize] = if quick { &[2] } else { &[2, 4] };
 
     let mut results: Vec<Measurement> = Vec::new();
     // Fails the sweep (via JSON + test) if any kernel row that was
@@ -320,7 +293,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
             let is_uniform = matches!(scheme, SchemeSpec::SendFloor | SchemeSpec::SendRound);
             let (instr_sec, instr_loads) = run_instrumented(&gp, scheme, &initial, steps)?;
             let mut push = |path: String,
-                            threads: usize,
                             relabeled: bool,
                             sec: f64,
                             ok: bool,
@@ -331,7 +303,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                     graph: spec.label(),
                     n,
                     path,
-                    threads,
                     relabeled,
                     steps,
                     tokens,
@@ -343,11 +314,11 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
             };
             let planned = |sec: f64, ok: bool| (sec, ok, "planned".to_string(), "i64".to_string());
             let (sec, ok, il, lw) = planned(instr_sec, true);
-            push("step-loop".into(), 1, false, sec, ok, il, lw);
+            push("step-loop".into(), false, sec, ok, il, lw);
 
             let (fast_sec, fast_loads) = run_fast(&gp, scheme, &initial, steps)?;
             let (sec, ok, il, lw) = planned(fast_sec, fast_loads == instr_loads);
-            push("run_fast".into(), 1, false, sec, ok, il, lw);
+            push("run_fast".into(), false, sec, ok, il, lw);
 
             // The production configuration: automatic vector dispatch.
             if let Some((kern_sec, kern_loads, stats)) =
@@ -357,7 +328,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                 vector_rows_ok &= !is_uniform || stats.runs > 0;
                 push(
                     "run_kernel".into(),
-                    1,
                     false,
                     kern_sec,
                     kern_loads == instr_loads,
@@ -378,7 +348,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                     let (inner, width) = classify_kernel(&sc_stats, steps);
                     push(
                         "run_kernel(scalar)".into(),
-                        1,
                         false,
                         sc_sec,
                         sc_loads == instr_loads,
@@ -399,7 +368,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                     vector_rows_ok &= w_stats.runs > 0;
                     push(
                         "run_kernel(i64)".into(),
-                        1,
                         false,
                         w_sec,
                         w_loads == instr_loads,
@@ -416,7 +384,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                     vector_rows_ok &= dyn_stats.runs > 0;
                     push(
                         "run_kernel(dyn-static)".into(),
-                        1,
                         false,
                         dyn_sec,
                         dyn_loads == instr_loads,
@@ -437,7 +404,7 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                 let (rl_instr_sec, rl_instr_loads) =
                     run_instrumented(rgp, scheme, &rinitial, steps)?;
                 let (sec, ok, il, lw) = planned(rl_instr_sec, restored(&rl_instr_loads));
-                push("step-loop".into(), 1, true, sec, ok, il, lw);
+                push("step-loop".into(), true, sec, ok, il, lw);
                 if let Some((rl_kern_sec, rl_kern_loads, rl_stats)) =
                     run_kernel(rgp, scheme, &rinitial, steps, None)?
                 {
@@ -445,7 +412,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                     vector_rows_ok &= !is_uniform || rl_stats.runs > 0;
                     push(
                         "run_kernel".into(),
-                        1,
                         true,
                         rl_kern_sec,
                         restored(&rl_kern_loads),
@@ -464,7 +430,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                         let (inner, width) = classify_kernel(&rs_stats, steps);
                         push(
                             "run_kernel(scalar)".into(),
-                            1,
                             true,
                             rs_sec,
                             restored(&rs_loads),
@@ -472,22 +437,6 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                             width,
                         );
                     }
-                }
-            }
-
-            if let Some(sharded) = sharded_instance(scheme) {
-                for &threads in thread_counts {
-                    let (par_sec, par_loads) =
-                        run_parallel(&gp, sharded.as_ref(), &initial, steps, threads)?;
-                    push(
-                        format!("parallel({threads})"),
-                        threads,
-                        false,
-                        par_sec,
-                        par_loads == instr_loads,
-                        "sharded".into(),
-                        "i64".into(),
-                    );
                 }
             }
         }
@@ -559,7 +508,7 @@ fn write_json(path: &std::path::Path, results: &[Measurement], quick: bool, vect
     for (i, m) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"scheme\": \"{}\", \"graph\": \"{}\", \"n\": {}, \"path\": \"{}\", \
-             \"threads\": {}, \"relabeled\": {}, \"steps\": {}, \"tokens\": {}, \
+             \"threads\": 1, \"relabeled\": {}, \"steps\": {}, \"tokens\": {}, \
              \"elapsed_sec\": {:.6}, \
              \"node_steps_per_sec\": {:.1}, \"token_steps_per_sec\": {:.1}, \
              \"inner_loop\": \"{}\", \"load_width\": \"{}\", \
@@ -568,7 +517,6 @@ fn write_json(path: &std::path::Path, results: &[Measurement], quick: bool, vect
             json_escape(&m.graph),
             m.n,
             json_escape(&m.path),
-            m.threads,
             m.relabeled,
             m.steps,
             m.tokens,
@@ -599,13 +547,12 @@ mod tests {
         let table = throughput_to(true, &json_path).expect("quick sweep runs");
 
         // Cycle/torus: SEND schemes get step-loop + run_fast +
-        // run_kernel{auto,scalar,i64,dyn-static} + parallel(2) (7 rows
-        // each), the rotor-router gets step-loop + run_fast +
-        // run_kernel (3 rows): 17 per graph. Random-regular adds
-        // relabeled rows: step-loop + kernel-auto + kernel-scalar per
-        // SEND scheme, step-loop + kernel-auto for the rotor (8 rows)
-        // — 25 total.
-        assert_eq!(table.num_rows(), 2 * 17 + (17 + 8));
+        // run_kernel{auto,scalar,i64,dyn-static} (6 rows each), the
+        // rotor-router gets step-loop + run_fast + run_kernel (3 rows):
+        // 15 per graph. Random-regular adds relabeled rows: step-loop +
+        // kernel-auto + kernel-scalar per SEND scheme, step-loop +
+        // kernel-auto for the rotor (8 rows) — 23 total.
+        assert_eq!(table.num_rows(), 2 * 15 + (15 + 8));
         // Every path must have reproduced the instrumented loads —
         // including the relabeled runs mapped back to original ids.
         assert!(

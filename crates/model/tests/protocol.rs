@@ -1,224 +1,33 @@
-//! Exhaustive schedule exploration of the sharded engine's round
-//! protocol, plus the mutant witness that shows the checker has teeth.
+//! Exhaustive schedule exploration of the `dlb-serve` batch scheduler.
 //!
 //! Only compiled under `RUSTFLAGS="--cfg dlb_model"` — without that
 //! cfg the `dlb_core::sync` facade is plain `std` and there is nothing
-//! to explore (the ungated smoke tests in `dlb-model`'s lib cover the
+//! to explore (the ungated smoke test in `dlb-model`'s lib covers the
 //! passthrough behaviour).
 #![cfg(dlb_model)]
 
-use dlb_core::EngineError;
-use dlb_model::{
-    mutant_witness_scenario, parallel_outcome, scenarios, serial_outcome, suite_guard, Churn,
-    Inject, Scenario, Scheme,
-};
-use loom::{Builder, FailureKind};
+use loom::Builder;
 
-/// The suite-wide exploration configuration: exhaustive DFS at
-/// preemption bound 2 (loom's empirical sweet spot — almost every real
-/// bug needs at most two preemptive switches), then 32 seeded-random
-/// schedules with the bound lifted for tail coverage.
-fn builder() -> Builder {
-    Builder {
+/// The serve-layer batch scheduler: per-tenant outcomes must equal
+/// the serial sweep under **every** explored interleaving of the
+/// ticket counter and the per-tenant mutexes — two workers racing
+/// over a three-tenant fleet that spans closed, injecting and
+/// churning rounds. A diverging tenant, a lost ticket (tenant served
+/// twice or skipped) or a deadlocked worker all fail here.
+///
+/// Exploration is an exhaustive DFS at preemption bound 2 (loom's
+/// empirical sweet spot — almost every real bug needs at most two
+/// preemptive switches), then 32 seeded-random schedules with the
+/// bound lifted for tail coverage.
+#[test]
+fn serve_scheduler_matches_serial_on_every_schedule() {
+    let expected = dlb_model::serve_outcomes(1, 1, 2);
+    let report = Builder {
         preemption_bound: 2,
         samples: 32,
         ..Builder::default()
     }
-}
-
-/// Explores every schedule of `s`'s parallel run and asserts each one
-/// reproduces the serial oracle exactly: same loads, same step count,
-/// same graph, same error. A divergence or deadlock panics with the
-/// failing schedule and its rendered trace.
-fn explore(s: &Scenario) {
-    let expected = serial_outcome(s);
-    let report = builder().model(|| {
-        let got = parallel_outcome(s);
-        assert_eq!(got, expected, "schedule diverged from the serial oracle");
-    });
-    assert!(
-        report.complete,
-        "{}: DFS was cut short at {} schedules — raise max_schedules",
-        s.name, report.schedules
-    );
-    println!(
-        "[model] {:<48} {:>6} schedules exhausted at preemption bound {}, +{} sampled",
-        s.name, report.schedules, report.preemption_bound, report.sampled
-    );
-}
-
-fn explore_by_name(name: &str) {
-    let _suite = suite_guard();
-    let s = scenarios()
-        .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("battery has no scenario named {name}"));
-    explore(&s);
-}
-
-#[test]
-fn closed_fixed_two_shards_matches_serial_on_every_schedule() {
-    explore_by_name("closed_fixed_two_shards");
-}
-
-#[test]
-fn closed_fixed_three_shards_matches_serial_on_every_schedule() {
-    explore_by_name("closed_fixed_three_shards");
-}
-
-#[test]
-fn churn_only_round_matches_serial_on_every_schedule() {
-    explore_by_name("churn_only_round");
-}
-
-#[test]
-fn overdraw_in_a_churning_round_terminates_on_every_schedule() {
-    explore_by_name("overdraw_in_a_churning_round_without_injection");
-}
-
-#[test]
-fn negative_seed_under_valid_churn_orders_errors_like_serial() {
-    explore_by_name("negative_seed_under_valid_churn");
-}
-
-#[test]
-fn negative_seed_under_rejected_churn_orders_errors_like_serial() {
-    explore_by_name("negative_seed_under_rejected_churn");
-}
-
-#[test]
-fn injection_round_matches_serial_on_every_schedule() {
-    explore_by_name("injection_round");
-}
-
-#[test]
-fn asleep_node_handoff_matches_serial_on_every_schedule() {
-    explore_by_name("asleep_node_handoff");
-}
-
-/// A scheme that panics mid-plan must surface as `WorkerPanic` with the
-/// round rolled back whole, under **every** schedule — no deadlock, no
-/// stranded worker, no half-applied flows. (There is no serial oracle
-/// here: the serial path would genuinely propagate the panic, so the
-/// expectation is written out by hand.)
-#[test]
-fn worker_panic_is_contained_under_every_schedule() {
-    let _suite = suite_guard();
-    let s = Scenario {
-        name: "worker_panic_mid_plan",
-        n: 8,
-        loads: vec![4; 8],
-        scheme: Scheme::PanicAt(1),
-        churn: Churn::None,
-        inject: Inject::None,
-        steps: 1,
-        threads: 2,
-    };
-    let report = builder().model(|| {
-        let got = parallel_outcome(&s);
-        match &got.err {
-            Some(EngineError::WorkerPanic { step: 1, message }) => {
-                assert!(message.contains("injected panic at node 1"), "{message}");
-            }
-            other => panic!("expected WorkerPanic at step 1, got {other:?}"),
-        }
-        assert_eq!(got.steps, 0, "failed round must not count");
-        assert_eq!(got.loads, vec![4i64; 8], "failed round must roll back");
-    });
-    assert!(report.complete);
-    println!(
-        "[model] {:<48} {:>6} schedules exhausted at preemption bound {}, +{} sampled",
-        s.name, report.schedules, report.preemption_bound, report.sampled
-    );
-}
-
-/// Resets the mutant switch even if the test panics mid-way, so a
-/// failure here cannot poison later explorations.
-struct MutantFlag;
-
-impl MutantFlag {
-    fn set() -> Self {
-        dlb_core::sync::model_hooks::TOPO_ABORT_READS_FAILED
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        MutantFlag
-    }
-}
-
-impl Drop for MutantFlag {
-    fn drop(&mut self) {
-        dlb_core::sync::model_hooks::TOPO_ABORT_READS_FAILED
-            .store(false, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-/// The PR 5 regression, reintroduced behind a model-only switch: if the
-/// post-churn abort check reads `failed` instead of `topo_failed`, a
-/// fast worker that errors during planning can flip `failed` before a
-/// slow peer performs its topology-abort check; the peer then exits
-/// early and strands the fast worker at the round barrier. The checker
-/// must find that deadlock, print the schedule, and replay it; with
-/// the switch off the identical scenario must pass clean.
-#[test]
-fn mutant_topo_abort_reading_failed_is_caught_with_a_schedule() {
-    let _suite = suite_guard();
-    let s = mutant_witness_scenario();
-
-    let flag = MutantFlag::set();
-    let failure = Builder {
-        preemption_bound: 2,
-        samples: 0,
-        ..Builder::default()
-    }
-    .check(|| {
-        let _ = parallel_outcome(&s);
-    })
-    .expect_err("the mutant must deadlock on some schedule");
-    assert_eq!(failure.kind, FailureKind::Deadlock, "{failure}");
-    assert!(
-        failure.trace.iter().any(|line| line.contains("DEADLOCK")),
-        "trace must mark the stuck state:\n{failure}"
-    );
-    println!(
-        "[model] mutant caught after {} schedule(s):",
-        failure.schedules_explored
-    );
-    println!("{failure}");
-
-    // The reported schedule is a real witness: replaying exactly it
-    // reproduces the deadlock.
-    let replayed = Builder::replay(failure.schedule.clone())
-        .check(|| {
-            let _ = parallel_outcome(&s);
-        })
-        .expect_err("replaying the witness schedule must deadlock again");
-    assert_eq!(replayed.kind, FailureKind::Deadlock);
-    drop(flag);
-
-    // With the fix back in place the identical scenario is clean on
-    // every schedule.
-    let expected = serial_outcome(&s);
-    let report = Builder {
-        preemption_bound: 2,
-        samples: 0,
-        ..Builder::default()
-    }
     .model(|| {
-        assert_eq!(parallel_outcome(&s), expected);
-    });
-    assert!(report.complete);
-}
-
-/// The serve-layer batch scheduler (PR 9): per-tenant outcomes must
-/// equal the serial sweep under **every** explored interleaving of
-/// the ticket counter and the per-tenant mutexes — two workers racing
-/// over a three-tenant fleet that spans closed, injecting and
-/// churning rounds. A diverging tenant, a lost ticket (tenant served
-/// twice or skipped) or a deadlocked worker all fail here.
-#[test]
-fn serve_scheduler_matches_serial_on_every_schedule() {
-    let _suite = suite_guard();
-    let expected = dlb_model::serve_outcomes(1, 1, 2);
-    let report = builder().model(|| {
         let got = dlb_model::serve_outcomes(2, 1, 2);
         assert_eq!(
             got, expected,

@@ -8,8 +8,7 @@ use crate::registry::MetricRegistry;
 ///
 /// Serial rounds decompose into `Mutate → Inject → Handoff → Plan →
 /// Validate → Route`; the streaming kernel fuses the last three into
-/// `Stream`; the sharded path reports its barrier phases; the server
-/// reports the slice pipeline (`Ticket → Lock → TenantStep →
+/// `Stream`; the server reports the slice pipeline (`Ticket → Lock → TenantStep →
 /// SliceMerge`). `VectorDispatch` is an instant event carrying the
 /// dispatch decision for a vectorized run; `VectorPlan` spans the
 /// (cached, so normally once per graph) build of its gather plan.
@@ -34,14 +33,6 @@ pub enum Phase {
     VectorDispatch,
     /// Vector-kernel gather plan build (a plan-cache miss).
     VectorPlan,
-    /// Sharded path: topology drive + replica replay (T0/T1).
-    ShardTopology,
-    /// Sharded path: injection publish/assemble/apply (I0–I2).
-    ShardInject,
-    /// Sharded path: plan + validate + accumulate (phase A).
-    ShardPlan,
-    /// Sharded path: merge interior and dirty frontier (phase B).
-    ShardMerge,
     /// Server: claiming a tenant ticket from the shared counter.
     Ticket,
     /// Server: acquiring the tenant mutex.
@@ -55,7 +46,7 @@ pub enum Phase {
 }
 
 /// Number of distinct [`Phase`] values (size for per-phase arrays).
-pub const PHASE_COUNT: usize = 18;
+pub const PHASE_COUNT: usize = 14;
 
 /// All phases, in declaration order (index = `Phase::index`).
 const ALL_PHASES: [Phase; PHASE_COUNT] = [
@@ -68,10 +59,6 @@ const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::Stream,
     Phase::VectorDispatch,
     Phase::VectorPlan,
-    Phase::ShardTopology,
-    Phase::ShardInject,
-    Phase::ShardPlan,
-    Phase::ShardMerge,
     Phase::Ticket,
     Phase::Lock,
     Phase::TenantStep,
@@ -103,10 +90,6 @@ impl Phase {
             Phase::Stream => "stream",
             Phase::VectorDispatch => "vector_dispatch",
             Phase::VectorPlan => "vector_plan",
-            Phase::ShardTopology => "shard_topology",
-            Phase::ShardInject => "shard_inject",
-            Phase::ShardPlan => "shard_plan",
-            Phase::ShardMerge => "shard_merge",
             Phase::Ticket => "ticket",
             Phase::Lock => "lock",
             Phase::TenantStep => "step",

@@ -72,7 +72,7 @@ impl From<GraphError> for TenantError {
 }
 
 /// The path-independent result of a tenant's run so far: everything
-/// the five bit-identical execution paths agree on.
+/// the bit-identical execution paths agree on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantOutcome {
     /// Final loads.
@@ -145,6 +145,34 @@ impl SchemeInstance {
             SchemeInstance::Round(_) => SchemeKind::SendRound,
             SchemeInstance::Rotor(_) => SchemeKind::RotorRouter,
             SchemeInstance::Star(_) => SchemeKind::RotorRouterStar,
+        }
+    }
+
+    /// Advances `engine` by `steps` rounds on this scheme's path —
+    /// `run_kernel_dyn` for the kernel-capable schemes, `run_fast_dyn`
+    /// for ROTOR-ROUTER*. Generic over the schedule and workload so
+    /// the live and replay callers each keep a monomorphised round
+    /// loop.
+    fn advance<S: TopologySchedule, W: Workload>(
+        &mut self,
+        engine: &mut Engine,
+        steps: usize,
+        schedule: &mut S,
+        workload: &mut W,
+    ) -> Result<(), EngineError> {
+        match self {
+            SchemeInstance::Floor(b) => {
+                engine.run_kernel_dyn(b, steps, Some(schedule), Some(workload))
+            }
+            SchemeInstance::Round(b) => {
+                engine.run_kernel_dyn(b, steps, Some(schedule), Some(workload))
+            }
+            SchemeInstance::Rotor(b) => {
+                engine.run_kernel_dyn(b, steps, Some(schedule), Some(workload))
+            }
+            SchemeInstance::Star(b) => {
+                engine.run_fast_dyn(b, steps, Some(schedule), Some(workload))
+            }
         }
     }
 
@@ -331,32 +359,12 @@ impl Tenant {
             inner: workload_inner,
             log: &mut inject_log,
         };
-        let result = match &mut self.scheme {
-            SchemeInstance::Floor(b) => self.engine.run_kernel_dyn(
-                b,
-                rounds,
-                Some(&mut recording_schedule),
-                Some(&mut recording_workload),
-            ),
-            SchemeInstance::Round(b) => self.engine.run_kernel_dyn(
-                b,
-                rounds,
-                Some(&mut recording_schedule),
-                Some(&mut recording_workload),
-            ),
-            SchemeInstance::Rotor(b) => self.engine.run_kernel_dyn(
-                b,
-                rounds,
-                Some(&mut recording_schedule),
-                Some(&mut recording_workload),
-            ),
-            SchemeInstance::Star(b) => self.engine.run_fast_dyn(
-                b,
-                rounds,
-                Some(&mut recording_schedule),
-                Some(&mut recording_workload),
-            ),
-        };
+        let result = self.scheme.advance(
+            &mut self.engine,
+            rounds,
+            &mut recording_schedule,
+            &mut recording_workload,
+        );
         self.append_logs(event_log, inject_log);
         match result {
             Ok(()) => {
@@ -486,33 +494,12 @@ impl Tenant {
                 records: &contents.rounds,
                 idx: 0,
             };
-            let result = match &mut scheme {
-                SchemeInstance::Floor(b) => engine.run_kernel_dyn(
-                    b,
-                    steps,
-                    Some(&mut replay_schedule),
-                    Some(&mut replay_workload),
-                ),
-                SchemeInstance::Round(b) => engine.run_kernel_dyn(
-                    b,
-                    steps,
-                    Some(&mut replay_schedule),
-                    Some(&mut replay_workload),
-                ),
-                SchemeInstance::Rotor(b) => engine.run_kernel_dyn(
-                    b,
-                    steps,
-                    Some(&mut replay_schedule),
-                    Some(&mut replay_workload),
-                ),
-                SchemeInstance::Star(b) => engine.run_fast_dyn(
-                    b,
-                    steps,
-                    Some(&mut replay_schedule),
-                    Some(&mut replay_workload),
-                ),
-            };
-            if let Err(e) = result {
+            if let Err(e) = scheme.advance(
+                &mut engine,
+                steps,
+                &mut replay_schedule,
+                &mut replay_workload,
+            ) {
                 error = Some(e);
             }
         }

@@ -1,8 +1,8 @@
 //! Differential fuzzing of the engine's execution paths.
 //!
-//! One semantics, four implementations: the instrumented `step_dyn`
-//! loop, the fused `run_fast_dyn`, the plan-free `run_kernel_dyn`,
-//! and the sharded `run_parallel_dyn` at 1–4 threads. This suite
+//! One semantics, three implementations: the instrumented `step_dyn`
+//! loop, the fused `run_fast_dyn` and the plan-free `run_kernel_dyn`
+//! (with its vector inner loops forced where they apply). This suite
 //! drives randomized scheme × graph × load × workload × **topology
 //! schedule** combinations through every applicable path and asserts
 //! that the complete observable outcome is identical:
@@ -26,8 +26,8 @@
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, ShardedBalancer,
-    TopologySchedule, VectorConfig, VectorStrategy, VectorWidth, Workload,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, TopologySchedule,
+    VectorConfig, VectorStrategy, VectorWidth, Workload,
 };
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
 use dlb::scenario::WorkloadSpec;
@@ -107,8 +107,8 @@ fn schedule_for(idx: usize) -> Option<ScheduleSpec> {
 /// A deliberately fragile scheme: every non-empty node sends exactly 3
 /// tokens over port 0 while claiming it never overdraws — so once an
 /// injection round erodes a node below 3, the engine must reject the
-/// round. Implemented identically on the planned, kernel and sharded
-/// entry points, it turns the fuzzer's drain workloads into a source of
+/// round. Implemented identically on the planned and kernel entry
+/// points, it turns the fuzzer's drain workloads into a source of
 /// mid-run `Overdraw` divergence points.
 #[derive(Clone, Copy)]
 struct Const3;
@@ -131,13 +131,6 @@ impl Balancer for Const3 {
 
 impl KernelBalancer for Const3 {
     fn kernel_node(&mut self, _gp: &BalancingGraph, _u: usize, _load: i64, flows: &mut [u64]) {
-        flows.fill(0);
-        flows[0] = 3;
-    }
-}
-
-impl ShardedBalancer for Const3 {
-    fn plan_node(&self, _gp: &BalancingGraph, _u: usize, _load: i64, flows: &mut [u64]) {
         flows.fill(0);
         flows[0] = 3;
     }
@@ -168,15 +161,6 @@ impl SchemeId {
             SchemeId::SendRound => Box::new(SendRound::new()),
             SchemeId::Rotor => Box::new(RotorRouter::new(gp, PortOrder::Sequential).unwrap()),
             SchemeId::Const3 => Box::new(Const3),
-        }
-    }
-
-    fn sharded(self) -> Option<Box<dyn ShardedBalancer>> {
-        match self {
-            SchemeId::SendFloor => Some(Box::new(SendFloor::new())),
-            SchemeId::SendRound => Some(Box::new(SendRound::new())),
-            SchemeId::Const3 => Some(Box::new(Const3)),
-            SchemeId::Rotor => None,
         }
     }
 }
@@ -399,31 +383,6 @@ fn forced_vector_configs() -> Vec<(&'static str, VectorConfig)> {
     out
 }
 
-fn drive_run_parallel(
-    gp: &BalancingGraph,
-    scheme: SchemeId,
-    sspec: &Option<ScheduleSpec>,
-    wspec: &Option<WorkloadSpec>,
-    initial: &LoadVector,
-    steps: usize,
-    threads: usize,
-) -> Option<Outcome> {
-    let sharded = scheme.sharded()?;
-    let mut schedule = build_schedule(sspec);
-    let mut workload = build_workload(wspec, gp.num_nodes());
-    let mut engine = Engine::new(gp.clone(), initial.clone());
-    let error = engine
-        .run_parallel_dyn(
-            sharded.as_ref(),
-            steps,
-            threads,
-            schedule.as_deref_mut(),
-            workload.as_deref_mut(),
-        )
-        .err();
-    Some(Outcome::capture(&engine, None, error))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -477,13 +436,6 @@ proptest! {
                 }
             }
         }
-        for threads in [1usize, 2, 3, 4] {
-            if let Some(par) =
-                drive_run_parallel(&gp, scheme, &sspec, &wspec, &initial, steps, threads)
-            {
-                par.assert_matches(&reference, &format!("run_parallel({threads}) on {tag}"));
-            }
-        }
     }
 }
 
@@ -526,11 +478,6 @@ fn unclamped_drain_under_churn_produces_identical_negative_divergence() {
             "run_kernel",
             drive_run_kernel(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
         ),
-        (
-            "run_parallel(3)",
-            drive_run_parallel(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps, 3)
-                .unwrap(),
-        ),
     ] {
         outcome.assert_matches(&reference, label);
     }
@@ -568,10 +515,6 @@ fn injection_eroded_overdraw_under_churn_is_identical_on_every_path() {
             "run_kernel",
             drive_run_kernel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
         ),
-        (
-            "run_parallel(2)",
-            drive_run_parallel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps, 2).unwrap(),
-        ),
     ] {
         outcome.assert_matches(&reference, label);
     }
@@ -604,18 +547,12 @@ fn rotor_state_is_identical_under_full_churn() {
     fast.assert_matches(&reference, "run_fast rotor state");
 }
 
-/// Regression (PR 5): an `Overdraw` arising in a **churning round
-/// without injection phases** used to strand the sharded workers — a
-/// fast worker could record the error and set the shared failure flag
-/// while a slow worker was still at the topology barrier, whose abort
-/// check mistook the plan-phase error for a rejected event and
-/// returned early, deadlocking its peer at round barrier #1. The
-/// topology abort now reads a flag only the topology phase can set.
-/// This exact combination (erroring scheme × swap-only schedule × no
-/// workload × several thread counts) must terminate and agree with
-/// the serial paths.
+/// An `Overdraw` arising in a **churning round without injection
+/// phases** (erroring scheme × swap-only schedule × no workload) must
+/// be rejected identically on every path, the failed round's swaps
+/// rolled back.
 #[test]
-fn overdraw_in_a_churning_round_without_injection_terminates_sharded() {
+fn overdraw_in_a_churning_round_without_injection_agrees_on_every_path() {
     let gp = BalancingGraph::lazy(generators::cycle(24).unwrap());
     let sspec = Some(ScheduleSpec::Periodic {
         period: 3,
@@ -635,24 +572,23 @@ fn overdraw_in_a_churning_round_without_injection_terminates_sharded() {
         matches!(err, EngineError::Overdraw { planned: 3, .. }),
         "unexpected error {err:?}"
     );
-    for threads in [2usize, 3, 4] {
-        let par = drive_run_parallel(
-            &gp,
-            SchemeId::Const3,
-            &sspec,
-            &wspec,
-            &initial,
-            steps,
-            threads,
-        )
-        .expect("Const3 shards");
-        par.assert_matches(&reference, &format!("run_parallel({threads})"));
+    for (label, outcome) in [
+        (
+            "run_fast",
+            drive_run_fast(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
+        ),
+        (
+            "run_kernel",
+            drive_run_kernel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
+        ),
+    ] {
+        outcome.assert_matches(&reference, label);
     }
 }
 
 /// Regression (PR 5 review): in a churning round with no injection
-/// phases, the sharded pre-plan negative check must still run before
-/// any planning — otherwise a lower-id `Overdraw` (Const3 at a node
+/// phases, the pre-plan negative check must still run before any
+/// planning — otherwise a lower-id `Overdraw` (Const3 at a node
 /// below 3) found mid-plan could shadow a higher-id negative seed and
 /// diverge from the serial error ordering.
 #[test]
@@ -680,22 +616,8 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
             step: 1
         })
     );
-    for (label, outcome) in [
-        (
-            "run_kernel",
-            drive_run_kernel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
-        ),
-        (
-            "run_parallel(2)",
-            drive_run_parallel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10, 2).unwrap(),
-        ),
-        (
-            "run_parallel(3)",
-            drive_run_parallel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10, 3).unwrap(),
-        ),
-    ] {
-        outcome.assert_matches(&reference, label);
-    }
+    drive_run_kernel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10)
+        .assert_matches(&reference, "run_kernel");
 }
 
 /// The resume target for the snapshot axis: which path finishes the
@@ -705,7 +627,6 @@ enum ResumePath {
     StepLoop,
     Fast,
     Kernel,
-    Parallel(usize),
     ForcedVector(VectorConfig),
 }
 
@@ -721,9 +642,8 @@ struct SplitPoint {
 /// boundary, export the complete engine state plus rotor positions and
 /// generator cursors, rebuild **everything** from the export alone,
 /// and finish the run on the given path. Returns `None` where the path
-/// does not apply to the combination (non-sharded scheme on the
-/// parallel path; forced vector configs outside static, closed SEND
-/// runs).
+/// does not apply to the combination (forced vector configs outside
+/// static, closed SEND runs).
 fn drive_split_resume(
     gp: &BalancingGraph,
     scheme: SchemeId,
@@ -734,9 +654,6 @@ fn drive_split_resume(
     at: SplitPoint,
 ) -> Option<Outcome> {
     let SplitPoint { split, path } = at;
-    if matches!(path, ResumePath::Parallel(_)) && scheme.sharded().is_none() {
-        return None;
-    }
     if matches!(path, ResumePath::ForcedVector(_))
         && !(sspec.is_none()
             && wspec.is_none()
@@ -842,18 +759,6 @@ fn drive_split_resume(
                 }
             }
         }
-        ResumePath::Parallel(threads) => {
-            let sharded = scheme.sharded().expect("checked above");
-            engine
-                .run_parallel_dyn(
-                    sharded.as_ref(),
-                    remaining,
-                    threads,
-                    schedule.as_deref_mut(),
-                    workload.as_deref_mut(),
-                )
-                .err()
-        }
         ResumePath::ForcedVector(config) => {
             engine.set_vector_config(config);
             match scheme {
@@ -880,7 +785,6 @@ fn resume_paths() -> Vec<(&'static str, ResumePath)> {
         ("step-loop", ResumePath::StepLoop),
         ("run_fast", ResumePath::Fast),
         ("run_kernel", ResumePath::Kernel),
-        ("run_parallel(2)", ResumePath::Parallel(2)),
         (
             "run_kernel[banded/i64]",
             ResumePath::ForcedVector(VectorConfig {
@@ -1005,8 +909,6 @@ enum CacheOp {
     Churn(usize),
     /// One instrumented `step_dyn` round under rewiring.
     Step,
-    /// A 2-thread `run_parallel_dyn` chunk under rewiring.
-    Parallel(usize),
     /// A `set_vector_config` strategy flip.
     Flip(VectorStrategy),
     /// `export_state` → `from_state`.
@@ -1016,10 +918,9 @@ enum CacheOp {
 fn cache_op(code: usize, len: usize) -> CacheOp {
     match code {
         0..=3 => CacheOp::Static(len),
-        4 => CacheOp::Rewire(len),
+        4 | 7 => CacheOp::Rewire(len),
         5 => CacheOp::Churn(len),
         6 => CacheOp::Step,
-        7 => CacheOp::Parallel(len),
         8 => CacheOp::Flip(VectorStrategy::Banded),
         9 => CacheOp::Flip(VectorStrategy::BlockedCsr),
         10 => CacheOp::Flip(VectorStrategy::Auto),
@@ -1080,10 +981,6 @@ impl CacheRig {
             CacheOp::Step => self
                 .engine
                 .step_dyn(bal, Some(self.rewire.as_mut()), none)
-                .err(),
-            CacheOp::Parallel(k) => self
-                .engine
-                .run_parallel_dyn(bal, k, 2, Some(self.rewire.as_mut()), none)
                 .err(),
             CacheOp::Flip(strategy) => {
                 self.engine.set_vector_config(VectorConfig {
@@ -1155,8 +1052,6 @@ fn cached_gather_plan_anchor_dispatches_after_every_mutation() {
         CacheOp::Churn(6),
         CacheOp::Static(3),
         CacheOp::Step,
-        CacheOp::Static(3),
-        CacheOp::Parallel(4),
         CacheOp::Static(3),
         CacheOp::Flip(VectorStrategy::BlockedCsr),
         CacheOp::Static(3),

@@ -1,7 +1,7 @@
 //! Cross-path property tests: the engine's fused fast paths must be
 //! indistinguishable from the instrumented stepping loop.
 //!
-//! Five guarantees, checked by proptest across every structured
+//! Four guarantees, checked by proptest across every structured
 //! generator family (cycle, torus, hypercube, clique-circulant,
 //! random-regular):
 //!
@@ -9,20 +9,17 @@
 //!    a negative load, on every execution path;
 //! 2. `run_fast` and the plan-free `run_kernel` produce bit-identical
 //!    load vectors to the `step()` loop for every scheme with a kernel;
-//! 3. `run_parallel` produces bit-identical load vectors for every
-//!    thread count (1/2/3/4 explicitly), for the sharded (stateless)
-//!    schemes;
-//! 4. running on an RCM-relabeled graph with permuted loads and mapping
+//! 3. running on an RCM-relabeled graph with permuted loads and mapping
 //!    the result back through the inverse reproduces the original run
 //!    exactly (port numbering is preserved, so even the rotor-router
 //!    commutes with relabeling);
-//! 5. `run_kernel` reports the same `Overdraw`/`NegativeLoad` error —
+//! 4. `run_kernel` reports the same `Overdraw`/`NegativeLoad` error —
 //!    same node, load and step — as the `step()` loop.
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, ShardedBalancer,
-    VectorConfig, VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, VectorConfig,
+    VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
 };
 use dlb::graph::relabel::Relabeling;
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
@@ -192,11 +189,10 @@ proptest! {
         }
     }
 
-    /// Guarantees 2 and 3: the fast, kernel and parallel paths are
-    /// bit-identical to the instrumented stepping loop — parallel at
-    /// 1, 2, 3 and 4 threads explicitly.
+    /// Guarantee 2: the fast and kernel paths are bit-identical to the
+    /// instrumented stepping loop.
     #[test]
-    fn fast_kernel_and_parallel_paths_match_instrumented_stepping(
+    fn fast_and_kernel_paths_match_instrumented_stepping(
         pattern in proptest::collection::vec(0i64..400, 4..12),
         steps in 1usize..25,
     ) {
@@ -230,24 +226,6 @@ proptest! {
                     kernel.negative_node_steps(),
                     reference.negative_node_steps()
                 );
-
-                let sharded: Box<dyn ShardedBalancer> = match scheme {
-                    SchemeSpec::SendFloor => Box::new(SendFloor::new()),
-                    _ => Box::new(SendRound::new()),
-                };
-                for t in [1, 2, 3, 4] {
-                    let mut par = Engine::new(gp.clone(), initial.clone());
-                    par.run_parallel(sharded.as_ref(), steps, t).unwrap();
-                    prop_assert_eq!(
-                        par.loads(), reference.loads(),
-                        "run_parallel({}) diverged: {} on {}", t, scheme.label(), name
-                    );
-                    prop_assert_eq!(par.step_count(), reference.step_count());
-                    prop_assert_eq!(
-                        par.negative_node_steps(),
-                        reference.negative_node_steps()
-                    );
-                }
             }
         }
     }
@@ -332,7 +310,7 @@ proptest! {
         }
     }
 
-    /// Guarantee 4: relabeling commutes with balancing. Running on the
+    /// Guarantee 3: relabeling commutes with balancing. Running on the
     /// RCM-relabeled graph with permuted loads and mapping the final
     /// loads back through the inverse is bit-identical to the original
     /// run — for the stateless SEND family *and* the port-order
@@ -366,7 +344,7 @@ proptest! {
         }
     }
 
-    /// Guarantee 4, state half: relabeling round-trips the
+    /// Guarantee 3, state half: relabeling round-trips the
     /// rotor-router's *state*, not just the loads. After identical
     /// horizons, mapping the relabeled run's rotor positions back
     /// through the inverse permutation must reproduce the original
@@ -432,9 +410,6 @@ fn negative_seed_errors_cleanly_on_every_path() {
     expect(build().run(&mut SendFloor::new(), 4));
     expect(build().run_fast(&mut SendFloor::new(), 4));
     expect(build().run_kernel(&mut SendFloor::new(), 4));
-    for threads in [1, 2, 3] {
-        expect(build().run_parallel(&SendFloor::new(), 4, threads));
-    }
     expect(build().step(&mut SendFloor::new()).map(|_| ()));
 }
 
@@ -464,7 +439,7 @@ impl KernelBalancer for Drain3 {
     }
 }
 
-/// Guarantee 5 (overdraw half): `run_kernel` must report the exact
+/// Guarantee 4 (overdraw half): `run_kernel` must report the exact
 /// `Overdraw` the `step()` loop reports — same node, load, planned
 /// amount and 1-based step — and leave the loads of the last completed
 /// round, after which both engines agree.
@@ -529,7 +504,7 @@ impl KernelBalancer for Overdraw5 {
     }
 }
 
-/// Guarantee 5 (negative half): a negative load appearing mid-run (not
+/// Guarantee 4 (negative half): a negative load appearing mid-run (not
 /// just at the seed) must surface with the same node and step on the
 /// kernel path as on the step loop — including the negative-node-step
 /// accounting the overdraw rounds accumulate along the way.

@@ -686,7 +686,7 @@ mod tests {
     #[test]
     fn facade_lint_fires_on_std_sync_in_core_and_nowhere_else() {
         let bad = "use std::sync::Mutex;\nfn f() { let _ = std::thread::spawn(|| ()); }\n";
-        let v = lint_source("crates/core/src/parallel.rs", bad);
+        let v = lint_source("crates/core/src/engine.rs", bad);
         assert_eq!(
             classes(&v),
             vec![LintClass::SyncFacade, LintClass::SyncFacade]
@@ -698,21 +698,21 @@ mod tests {
     #[test]
     fn ordering_lint_wants_a_nearby_comment() {
         let bare = "fn f(a: &AtomicBool) -> bool { a.load(Ordering::Acquire) }\n";
-        let v = lint_source("crates/core/src/parallel.rs", bare);
+        let v = lint_source("crates/core/src/engine.rs", bare);
         assert_eq!(classes(&v), vec![LintClass::AtomicOrdering]);
 
         let same_line =
             "fn f(a: &AtomicBool) -> bool { a.load(Ordering::Acquire) } // pairs with X\n";
-        assert!(lint_source("crates/core/src/parallel.rs", same_line).is_empty());
+        assert!(lint_source("crates/core/src/engine.rs", same_line).is_empty());
 
         let above = "// Acquire: pairs with the Release store in g.\n\
                      fn f(a: &AtomicBool) -> bool { a.load(Ordering::Acquire) }\n";
-        assert!(lint_source("crates/core/src/parallel.rs", above).is_empty());
+        assert!(lint_source("crates/core/src/engine.rs", above).is_empty());
 
         let too_far = "// Acquire: pairs with the Release store in g.\n\n\n\n\
                        fn f(a: &AtomicBool) -> bool { a.load(Ordering::Acquire) }\n";
         assert_eq!(
-            classes(&lint_source("crates/core/src/parallel.rs", too_far)),
+            classes(&lint_source("crates/core/src/engine.rs", too_far)),
             vec![LintClass::AtomicOrdering]
         );
     }
