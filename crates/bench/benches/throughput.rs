@@ -3,8 +3,8 @@
 //! Measures steps/second of the bare engine (no monitor) and the
 //! instrumented engine (monitor attached) per scheme on a 4096-node
 //! expander, plus the spectral substrate's operator application, plus
-//! the fused execution paths (instrumented step loop vs `run` vs
-//! `run_fast` vs the plan-free `run_kernel`) on the
+//! the execution paths (step loop vs `run` vs the plan-free
+//! `run_kernel`) on the
 //! PR's reference workload, a 65536-node cycle under SEND(⌊x/d⁺⌋).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -109,14 +109,6 @@ fn bench_fused_paths(c: &mut Criterion) {
             let mut bal = SendFloor::new();
             let mut engine = Engine::new(gp.clone(), initial.clone());
             engine.run(&mut bal, CYCLE_STEPS).expect("run runs");
-            black_box(engine.loads().total())
-        });
-    });
-    group.bench_function("run_fast", |b| {
-        b.iter(|| {
-            let mut bal = SendFloor::new();
-            let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run_fast(&mut bal, CYCLE_STEPS).expect("run runs");
             black_box(engine.loads().total())
         });
     });

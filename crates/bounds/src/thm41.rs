@@ -124,11 +124,12 @@ mod tests {
         // heavier edge forever, so the ledger spread grows linearly.
         let mut inst = cycle_instance(14);
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
+        engine.attach_monitor();
         engine.run(&mut inst.balancer, 100).unwrap();
         assert!(
-            engine.ledger().original_edge_spread() >= 90,
+            engine.monitor().unwrap().ledger().original_edge_spread() >= 90,
             "spread {} should grow ~t",
-            engine.ledger().original_edge_spread()
+            engine.monitor().unwrap().ledger().original_edge_spread()
         );
     }
 

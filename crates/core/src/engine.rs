@@ -9,7 +9,7 @@ use crate::fairness::FairnessMonitor;
 use crate::kernel::vector::{self, Gather, VectorConfig, VectorStats, VectorStrategy};
 use crate::kernel::{self, KernelBalancer};
 use crate::workload::{NoWorkload, Workload};
-use crate::{Balancer, CumulativeLedger, EngineError, FlowPlan, LoadVector};
+use crate::{Balancer, EngineError, FlowPlan, LoadVector};
 
 /// The engine's graph together with the vector gather plan built for
 /// it, so chunked vector runs profile the labeling once per graph
@@ -196,7 +196,7 @@ pub struct StepSummary {
 /// every execution path. Anything *not* in here is either derivable
 /// from these fields (the negative-load count) or deliberately
 /// rebuilt from scratch after restore (lazy trackers, connectivity,
-/// ledger/monitor instrumentation) — see [`Engine::export_state`] for
+/// the fairness monitor and its ledger) — see [`Engine::export_state`] for
 /// the full accounting.
 ///
 /// The fields are public so snapshot encoders (the `dlb-serve` crate)
@@ -235,20 +235,22 @@ pub struct EngineState {
 /// 2. the balancer fills a [`FlowPlan`] from the current loads;
 /// 3. the engine validates it in a single pass over the plan's touched
 ///    nodes (each node's sent total is computed exactly once);
-/// 4. the optional [`FairnessMonitor`] observes the pre-step state;
+/// 4. an attached [`FairnessMonitor`] observes the pre-step state and
+///    records the plan into its cumulative ledger `F_t`;
 /// 5. flows are routed in place — original-port tokens to the
 ///    neighbour behind the port, self-loop tokens back to the sender,
-///    un-planned tokens retained (the remainder `r_t(u)` of §2);
-/// 6. the cumulative ledger `F_t` is updated.
+///    un-planned tokens retained (the remainder `r_t(u)` of §2).
 ///
 /// # Fast paths
 ///
 /// [`step`](Engine::step) returns a [`StepSummary`] whose discrepancy
-/// costs an `O(n)` scan; [`run`](Engine::run) keeps the ledger and
-/// monitor but skips all per-step statistics, and
-/// [`run_fast`](Engine::run_fast) additionally skips the ledger and
-/// monitor. [`run_kernel`](Engine::run_kernel) goes further still for
-/// [`KernelBalancer`] schemes: no [`FlowPlan`] is materialised at all —
+/// costs an `O(n)` scan; [`run`](Engine::run) skips all per-step
+/// statistics. Fairness observation is opt-in: the monitor, which
+/// carries the ledger, exists only after
+/// [`attach_monitor`](Engine::attach_monitor), so an unmonitored run
+/// pays nothing for it. [`run_kernel`](Engine::run_kernel) goes
+/// further still for [`KernelBalancer`] schemes: no [`FlowPlan`] is
+/// materialised at all (so a monitor has nothing to observe) —
 /// flows are computed in registers and applied as signed deltas into a
 /// double-buffered load vector, and schemes with a closed-form uniform
 /// flow run it as whole-array vector rounds. All paths produce
@@ -276,7 +278,6 @@ pub struct Engine {
     /// plan's touched list (scratch reused across steps).
     outflow: Vec<u64>,
     plan: FlowPlan,
-    ledger: CumulativeLedger,
     monitor: Option<FairnessMonitor>,
     step: usize,
     negative_node_steps: u64,
@@ -337,14 +338,12 @@ impl Engine {
             "initial load vector must have one entry per node"
         );
         let plan = FlowPlan::for_graph(&gp);
-        let ledger = CumulativeLedger::for_graph(&gp);
         let negative_count = initial.negative_nodes();
         Engine {
             gp: PlannedGraph::new(gp),
             loads: initial,
             outflow: Vec::new(),
             plan,
-            ledger,
             monitor: None,
             step: 0,
             negative_node_steps: 0,
@@ -385,13 +384,17 @@ impl Engine {
             .map(DynamicConnectivity::is_connected)
     }
 
-    /// Attaches a [`FairnessMonitor`] that will observe every subsequent
-    /// step (costs one extra `O(n·d⁺)` pass per step).
+    /// Attaches a fresh [`FairnessMonitor`], with a cumulative ledger
+    /// shaped for the graph, that observes and records every
+    /// subsequent planned round (costs one extra `O(n·d⁺)` pass per
+    /// round). Kernel rounds materialise no plan and are not observed.
     pub fn attach_monitor(&mut self) {
-        self.monitor = Some(FairnessMonitor::new());
+        self.monitor = Some(FairnessMonitor::for_graph(&self.gp));
     }
 
-    /// The attached monitor, if any.
+    /// The attached monitor, if any; its
+    /// [`ledger`](FairnessMonitor::ledger) holds `F_t` over the rounds
+    /// it observed.
     pub fn monitor(&self) -> Option<&FairnessMonitor> {
         self.monitor.as_ref()
     }
@@ -404,11 +407,6 @@ impl Engine {
     /// Current loads `x_t`.
     pub fn loads(&self) -> &LoadVector {
         &self.loads
-    }
-
-    /// The cumulative ledger `F_t`.
-    pub fn ledger(&self) -> &CumulativeLedger {
-        &self.ledger
     }
 
     /// Steps completed so far.
@@ -656,18 +654,13 @@ impl Engine {
     }
 
     /// Validates and routes the freshly filled plan, then updates the
-    /// step counters — the fused second half of every step variant.
+    /// step counters — the fused second half of every planned round.
     ///
     /// A single pass over the plan's touched nodes computes each node's
     /// sent total exactly once (validation reads it; routing reuses the
     /// original-edge part). Routing is in place: no `O(n)` scratch copy,
     /// and the negative-node count is maintained at each write.
-    fn finish_step<Si: Sink>(
-        &mut self,
-        check: bool,
-        instrumented: bool,
-        sink: &mut Si,
-    ) -> Result<(), EngineError> {
+    fn finish_step<Si: Sink>(&mut self, check: bool, sink: &mut Si) -> Result<(), EngineError> {
         let d = self.gp.degree();
         let probe = sink.start();
 
@@ -694,10 +687,8 @@ impl Engine {
             self.outflow.push(orig);
         }
 
-        if instrumented {
-            if let Some(monitor) = &mut self.monitor {
-                monitor.observe(&self.gp, &self.loads, &self.plan);
-            }
+        if let Some(monitor) = &mut self.monitor {
+            monitor.observe(&self.gp, &self.loads, &self.plan);
         }
         sink.span(Phase::Validate, self.step as u64 + 1, probe);
         let probe = sink.start();
@@ -742,9 +733,6 @@ impl Engine {
         }
         self.negative_count = negative;
 
-        if instrumented {
-            self.ledger.record(&self.plan);
-        }
         self.step += 1;
         self.negative_node_steps += self.negative_count as u64;
         sink.span(Phase::Route, self.step as u64, probe);
@@ -759,7 +747,6 @@ impl Engine {
     fn step_inner<'s, 'w, Si: Sink>(
         &mut self,
         balancer: &mut dyn Balancer,
-        instrumented: bool,
         schedule: Option<&mut (dyn TopologySchedule + 's)>,
         workload: Option<&mut (dyn Workload + 'w)>,
         sink: &mut Si,
@@ -805,7 +792,7 @@ impl Engine {
             // `finish_step` validates the whole plan before routing a
             // single token, so an `Overdraw` has not mutated loads and
             // undoing the injection restores the round exactly.
-            self.finish_step(check, instrumented, sink)
+            self.finish_step(check, sink)
         });
         match result {
             Ok(()) => {
@@ -829,8 +816,7 @@ impl Engine {
 
     /// Runs one synchronous round of `balancer` and reports statistics
     /// (the post-step discrepancy costs an `O(n)` scan — use
-    /// [`run`](Engine::run) or [`run_fast`](Engine::run_fast) when
-    /// nobody reads the summaries).
+    /// [`run`](Engine::run) when nobody reads the summaries).
     ///
     /// # Errors
     ///
@@ -840,69 +826,7 @@ impl Engine {
     /// loads (checked *before* planning — the balancer never sees the
     /// invalid state).
     pub fn step(&mut self, balancer: &mut dyn Balancer) -> Result<StepSummary, EngineError> {
-        self.step_with(balancer, None)
-    }
-
-    /// [`step`](Engine::step) in the open system: `workload`'s deltas
-    /// for this round are applied *before* the negative-load check and
-    /// planning, so the scheme balances the injected loads. A round
-    /// that errors keeps no part of its injection. See
-    /// [`crate::workload`] for the full round structure.
-    ///
-    /// # Errors
-    ///
-    /// As [`step`](Engine::step); a workload that drives a load
-    /// negative under a non-overdrawing scheme surfaces as
-    /// [`EngineError::NegativeLoad`] carrying the post-injection load.
-    pub fn step_with<'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<StepSummary, EngineError> {
-        self.step_dyn(balancer, None, workload)
-    }
-
-    /// [`step_with`](Engine::step_with) in the dynamic-topology
-    /// system: before injection, `schedule`'s events for this round
-    /// mutate the graph in place — double-edge swaps, port
-    /// permutations, node sleep/wake — and every asleep node's queue
-    /// is handed to its live neighbours. The full round structure is
-    /// *mutate topology, inject load, negative-check, plan, validate,
-    /// route*; a round that errors keeps neither its injection nor its
-    /// topology events. See [`dlb_topology`] for schedules.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_with`](Engine::step_with), plus
-    /// [`EngineError::Topology`] when the schedule emits an event the
-    /// graph rejects.
-    pub fn step_dyn<'s, 'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<StepSummary, EngineError> {
-        self.step_dyn_traced(balancer, schedule, workload, &mut NoopSink)
-    }
-
-    /// [`step_dyn`](Engine::step_dyn) with a tracing [`Sink`] observing
-    /// the round's phases: `Mutate` (when a schedule runs), `Inject` /
-    /// `Handoff`, `Plan`, `Validate`, `Route`. Sinks observe only —
-    /// loads, errors and counters are bit-identical for any sink, and
-    /// the [`NoopSink`] instantiation (what [`step_dyn`](Engine::step_dyn)
-    /// passes) compiles every probe away.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_dyn`](Engine::step_dyn).
-    pub fn step_dyn_traced<'s, 'w, Si: Sink>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        workload: Option<&mut (dyn Workload + 'w)>,
-        sink: &mut Si,
-    ) -> Result<StepSummary, EngineError> {
-        self.step_inner(balancer, true, schedule, workload, sink)?;
+        self.step_inner(balancer, None, None, &mut NoopSink)?;
         Ok(StepSummary {
             step: self.step,
             discrepancy: self.scan_discrepancy(),
@@ -910,37 +834,37 @@ impl Engine {
         })
     }
 
-    /// Runs `steps` rounds, keeping the ledger and any attached monitor
-    /// up to date but skipping all per-step statistics (no discrepancy
-    /// or negative-node scans).
+    /// Runs `steps` rounds, skipping all per-step statistics (no
+    /// discrepancy or negative-node scans). An attached monitor
+    /// observes and records every round.
     ///
     /// # Errors
     ///
     /// Propagates the first [`EngineError`] encountered.
     pub fn run(&mut self, balancer: &mut dyn Balancer, steps: usize) -> Result<(), EngineError> {
-        self.run_with(balancer, steps, None)
+        self.run_dyn(balancer, steps, None, None)
     }
 
-    /// [`run`](Engine::run) with per-round workload injection.
+    /// [`run`](Engine::run) in the open, dynamic-topology system. Each
+    /// round, `schedule`'s events first mutate the graph in place —
+    /// double-edge swaps, port permutations, node sleep/wake — then
+    /// `workload`'s deltas are applied and every asleep node's queue is
+    /// handed to its live neighbours, all *before* the negative-load
+    /// check and planning, so the scheme balances the injected loads.
+    /// The full round structure is *mutate topology, inject load,
+    /// negative-check, plan, validate, route*; a round that errors
+    /// keeps neither its injection nor its topology events. See
+    /// [`crate::workload`] and [`dlb_topology`] for workloads and
+    /// schedules.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_with<'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<(), EngineError> {
-        self.run_dyn(balancer, steps, None, workload)
-    }
-
-    /// [`run_with`](Engine::run_with) with per-round topology churn
-    /// (see [`step_dyn`](Engine::step_dyn) for the round structure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
+    /// Propagates the first [`EngineError`] encountered: as
+    /// [`step`](Engine::step), where a workload that drives a load
+    /// negative under a non-overdrawing scheme surfaces as
+    /// [`EngineError::NegativeLoad`] carrying the post-injection load,
+    /// plus [`EngineError::Topology`] when the schedule emits an event
+    /// the graph rejects.
     pub fn run_dyn<'s, 'w>(
         &mut self,
         balancer: &mut dyn Balancer,
@@ -952,13 +876,15 @@ impl Engine {
     }
 
     /// [`run_dyn`](Engine::run_dyn) with a tracing [`Sink`] observing
-    /// every round's phases (see
-    /// [`step_dyn_traced`](Engine::step_dyn_traced) for the probe
-    /// points and the bit-identity guarantee).
+    /// every round's phases: `Mutate` (when a schedule runs), `Inject` /
+    /// `Handoff`, `Plan`, `Validate`, `Route`. Sinks observe only —
+    /// loads, errors and counters are bit-identical for any sink, and
+    /// the [`NoopSink`] instantiation (what [`run_dyn`](Engine::run_dyn)
+    /// passes) compiles every probe away.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`EngineError`] encountered.
+    /// As [`run_dyn`](Engine::run_dyn).
     pub fn run_dyn_traced<'s, 'w, Si: Sink>(
         &mut self,
         balancer: &mut dyn Balancer,
@@ -972,80 +898,7 @@ impl Engine {
             // `&mut dyn` views out of the long-lived options.
             let s = schedule.as_deref_mut();
             let w = workload.as_deref_mut();
-            self.step_inner(balancer, true, s, w, sink)?;
-        }
-        Ok(())
-    }
-
-    /// Runs `steps` rounds on the uninstrumented fast path: like
-    /// [`run`](Engine::run) but the [ledger](Engine::ledger) is not
-    /// recorded and an attached monitor does not observe, trading all
-    /// instrumentation for step throughput. Loads, step count and
-    /// negative-load accounting are bit-identical to [`run`](Engine::run).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_fast(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-    ) -> Result<(), EngineError> {
-        self.run_fast_with(balancer, steps, None)
-    }
-
-    /// [`run_fast`](Engine::run_fast) with per-round workload
-    /// injection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_fast_with<'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<(), EngineError> {
-        self.run_fast_dyn(balancer, steps, None, workload)
-    }
-
-    /// [`run_fast_with`](Engine::run_fast_with) with per-round
-    /// topology churn (see [`step_dyn`](Engine::step_dyn) for the
-    /// round structure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_fast_dyn<'s, 'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<(), EngineError> {
-        self.run_fast_dyn_traced(balancer, steps, schedule, workload, &mut NoopSink)
-    }
-
-    /// [`run_fast_dyn`](Engine::run_fast_dyn) with a tracing [`Sink`]
-    /// observing every round's phases (see
-    /// [`step_dyn_traced`](Engine::step_dyn_traced) for the probe
-    /// points and the bit-identity guarantee).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_fast_dyn_traced<'s, 'w, Si: Sink>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        mut schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        mut workload: Option<&mut (dyn Workload + 'w)>,
-        sink: &mut Si,
-    ) -> Result<(), EngineError> {
-        for _ in 0..steps {
-            let s = schedule.as_deref_mut();
-            let w = workload.as_deref_mut();
-            self.step_inner(balancer, false, s, w, sink)?;
+            self.step_inner(balancer, s, w, sink)?;
         }
         Ok(())
     }
@@ -1055,11 +908,11 @@ impl Engine {
     /// computed in registers by the scheme's
     /// [`kernel_node`](KernelBalancer::kernel_node) and applied as
     /// signed deltas into a double-buffered load vector, streaming once
-    /// over the CSR adjacency per round. Like
-    /// [`run_fast`](Engine::run_fast) this path skips the ledger and
-    /// monitor; loads, step count and negative-load accounting are
-    /// bit-identical to [`step`](Engine::step), and so are the step and
-    /// node of any reported error.
+    /// over the CSR adjacency per round. With no plan to read, an
+    /// attached monitor does not observe these rounds; loads, step
+    /// count and negative-load accounting are bit-identical to
+    /// [`step`](Engine::step), and so are the step and node of any
+    /// reported error.
     ///
     /// The inner loop is monomorphised for `d⁺ ∈ {2, 4, 6, 8}` (a
     /// generic fallback covers every other degree), so the common
@@ -1074,37 +927,17 @@ impl Engine {
         balancer: &mut K,
         steps: usize,
     ) -> Result<(), EngineError> {
-        self.run_kernel_with(balancer, steps, NoWorkload::none())
+        self.run_kernel_dyn(balancer, steps, StaticTopology::none(), NoWorkload::none())
     }
 
-    /// [`run_kernel`](Engine::run_kernel) with per-round workload
-    /// injection, applied to the same double-buffered delta vectors the
-    /// kernel streams flows into. The loop is monomorphised over the
-    /// workload type, so the `NoWorkload` `None` case — what
-    /// [`run_kernel`](Engine::run_kernel) passes — compiles to the
-    /// closed-system loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered; on error the
-    /// loads are those after the last fully completed round (the
-    /// erroring round's injection included — it is undone).
-    pub fn run_kernel_with<K: KernelBalancer + ?Sized, W: Workload + ?Sized>(
-        &mut self,
-        balancer: &mut K,
-        steps: usize,
-        workload: Option<&mut W>,
-    ) -> Result<(), EngineError> {
-        self.run_kernel_dyn(balancer, steps, StaticTopology::none(), workload)
-    }
-
-    /// [`run_kernel_with`](Engine::run_kernel_with) with per-round
-    /// topology churn: the kernel loop runs the full dynamic round
-    /// structure — mutate topology, inject, hand asleep queues to
-    /// live neighbours, negative-check, plan, validate, route — and is
-    /// monomorphised over the schedule type, so the
-    /// [`StaticTopology`]-`None` case (what the closed entry points
-    /// pass) folds the churn branches away and keeps the fixed-graph
+    /// [`run_kernel`](Engine::run_kernel) in the open, dynamic-topology
+    /// system: the kernel loop runs the full round structure of
+    /// [`run_dyn`](Engine::run_dyn), applying injection to the same
+    /// double-buffered delta vectors the kernel streams flows into. The
+    /// loop is monomorphised over the schedule and workload types, so
+    /// the [`StaticTopology`]/[`NoWorkload`] `None` case (what
+    /// [`run_kernel`](Engine::run_kernel) passes) folds the churn and
+    /// injection branches away and keeps the closed fixed-graph
     /// throughput.
     ///
     /// # Errors
@@ -1297,7 +1130,7 @@ impl Engine {
         self.tracker = Some(DiscrepancyTracker::build(self.loads.as_slice()));
         let mut outcome = Ok(None);
         for _ in 0..max_steps {
-            if let Err(e) = self.step_inner(balancer, true, None, None, &mut NoopSink) {
+            if let Err(e) = self.step_inner(balancer, None, None, &mut NoopSink) {
                 outcome = Err(e);
                 break;
             }
@@ -1345,9 +1178,9 @@ impl Engine {
     /// * the tracked [`DynamicConnectivity`] structure — re-anchored by
     ///   calling [`track_connectivity`](Engine::track_connectivity)
     ///   after restore;
-    /// * the cumulative ledger and the fairness monitor — instrumented-
-    ///   path observers, out of scope for checkpoint/resume (a restored
-    ///   engine starts them fresh via
+    /// * the fairness monitor and the cumulative ledger it carries — an
+    ///   opt-in observer, out of scope for checkpoint/resume (a restored
+    ///   engine starts a fresh one via
     ///   [`attach_monitor`](Engine::attach_monitor)).
     #[must_use]
     pub fn export_state(&self) -> EngineState {
@@ -1396,7 +1229,7 @@ impl Engine {
             vector_stats,
         } = state;
         // `new` recomputes the negative count from the loads and
-        // starts with a fresh plan/ledger for the restored graph.
+        // starts with a fresh plan and no monitor for the restored graph.
         let mut engine = Engine::new(graph, LoadVector::new(loads));
         engine.step = step;
         engine.negative_node_steps = negative_node_steps;
@@ -1506,8 +1339,33 @@ mod tests {
     fn ledger_tracks_steps() {
         let gp = lazy_cycle(4);
         let mut engine = Engine::new(gp, LoadVector::uniform(4, 4));
+        engine.attach_monitor();
         engine.run(&mut SendFloor::new(), 7).unwrap();
-        assert_eq!(engine.ledger().steps(), 7);
+        assert_eq!(engine.monitor().unwrap().ledger().steps(), 7);
+    }
+
+    #[test]
+    fn monitor_attached_mid_run_records_from_attach() {
+        let make = || Engine::new(lazy_cycle(12), LoadVector::point_mass(12, 1203));
+        let mut bal = SendFloor::new();
+        let mut monitored = make();
+        monitored.run(&mut bal, 9).unwrap();
+        monitored.attach_monitor();
+        monitored.run(&mut bal, 23).unwrap();
+        let mut twin = make();
+        twin.run(&mut bal, 32).unwrap();
+
+        let m = monitored.monitor().unwrap();
+        assert_eq!(m.steps_observed(), 23);
+        assert_eq!(m.ledger().steps(), 23);
+        assert!(
+            m.ledger().node_total(0) > 0,
+            "the ledger records the observed flows"
+        );
+        assert!(twin.monitor().is_none());
+        assert_eq!(monitored.loads(), twin.loads());
+        assert_eq!(monitored.step_count(), twin.step_count());
+        assert_eq!(monitored.negative_node_steps(), twin.negative_node_steps());
     }
 
     #[test]
@@ -1546,12 +1404,12 @@ mod tests {
 
         let mut engine = Engine::new(lazy_cycle(4), initial.clone());
         assert!(matches!(
-            engine.run(&mut bal, 5),
+            engine.step(&mut bal),
             Err(EngineError::NegativeLoad { node: 0, .. })
         ));
         let mut engine = Engine::new(lazy_cycle(4), initial.clone());
         assert!(matches!(
-            engine.run_fast(&mut bal, 5),
+            engine.run(&mut bal, 5),
             Err(EngineError::NegativeLoad { node: 0, .. })
         ));
         let mut engine = Engine::new(lazy_cycle(4), initial.clone());
@@ -1562,20 +1420,21 @@ mod tests {
     }
 
     #[test]
-    fn run_fast_matches_instrumented_stepping() {
+    fn run_matches_monitored_stepping() {
         let mut slow = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
         let mut fast = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
         let mut bal = SendFloor::new();
+        slow.attach_monitor();
         for _ in 0..97 {
             slow.step(&mut bal).unwrap();
         }
-        fast.run_fast(&mut bal, 97).unwrap();
+        fast.run(&mut bal, 97).unwrap();
         assert_eq!(slow.loads(), fast.loads());
         assert_eq!(slow.step_count(), fast.step_count());
         assert_eq!(slow.negative_node_steps(), fast.negative_node_steps());
-        // The fast path skips the ledger by design.
-        assert_eq!(fast.ledger().steps(), 0);
-        assert_eq!(slow.ledger().steps(), 97);
+        // Observation is opt-in: the unmonitored run keeps no ledger.
+        assert!(fast.monitor().is_none());
+        assert_eq!(slow.monitor().unwrap().ledger().steps(), 97);
     }
 
     #[test]
@@ -1638,9 +1497,10 @@ mod tests {
     fn injection_conserves_total_plus_cumulative_delta() {
         let mut engine = Engine::new(lazy_cycle(8), LoadVector::uniform(8, 10));
         engine
-            .run_with(
+            .run_dyn(
                 &mut SendFloor::new(),
                 25,
+                None,
                 Some(&mut Node0Arrivals { rate: 3 }),
             )
             .unwrap();
@@ -1651,30 +1511,25 @@ mod tests {
     #[test]
     fn injection_is_identical_across_all_paths() {
         let make = || Engine::new(lazy_cycle(12), LoadVector::point_mass(12, 240));
+        let mut arrivals = Node0Arrivals { rate: 5 };
         let mut reference = make();
         for _ in 0..30 {
             reference
-                .step_with(&mut SendFloor::new(), Some(&mut Node0Arrivals { rate: 5 }))
+                .run_dyn(&mut SendFloor::new(), 1, None, Some(&mut arrivals))
                 .unwrap();
         }
 
-        let mut fast = make();
-        fast.run_fast_with(
-            &mut SendFloor::new(),
-            30,
-            Some(&mut Node0Arrivals { rate: 5 }),
-        )
-        .unwrap();
-        assert_eq!(fast.loads(), reference.loads());
-        assert_eq!(fast.injected_total(), reference.injected_total());
+        let mut batched = make();
+        batched
+            .run_dyn(&mut SendFloor::new(), 30, None, Some(&mut arrivals))
+            .unwrap();
+        assert_eq!(batched.loads(), reference.loads());
+        assert_eq!(batched.injected_total(), reference.injected_total());
 
         let mut kern = make();
-        kern.run_kernel_with(
-            &mut SendFloor::new(),
-            30,
-            Some(&mut Node0Arrivals { rate: 5 }),
-        )
-        .unwrap();
+        let none = StaticTopology::none();
+        kern.run_kernel_dyn(&mut SendFloor::new(), 30, none, Some(&mut arrivals))
+            .unwrap();
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.injected_total(), reference.injected_total());
     }
@@ -1689,16 +1544,12 @@ mod tests {
         let make = || Engine::new(lazy_cycle(4), LoadVector::uniform(4, 10));
         let run_ref = |steps: usize| {
             let mut engine = make();
-            let mut err = None;
-            for _ in 0..steps {
-                match engine.step_with(&mut SendFloor::new(), Some(&mut Node1Drain { rate: 4 })) {
-                    Ok(_) => {}
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
+            let mut drain = Node1Drain { rate: 4 };
+            let err = (0..steps).find_map(|_| {
+                engine
+                    .run_dyn(&mut SendFloor::new(), 1, None, Some(&mut drain))
+                    .err()
+            });
             (engine, err.expect("drain must trip the negative check"))
         };
         let (reference, ref_err) = run_ref(50);
@@ -1711,8 +1562,14 @@ mod tests {
         );
 
         let mut kern = make();
+        let mut drain = Node1Drain { rate: 4 };
         let kern_err = kern
-            .run_kernel_with(&mut SendFloor::new(), 50, Some(&mut Node1Drain { rate: 4 }))
+            .run_kernel_dyn(
+                &mut SendFloor::new(),
+                50,
+                StaticTopology::none(),
+                Some(&mut drain),
+            )
             .unwrap_err();
         assert_eq!(kern_err, ref_err);
         assert_eq!(kern.loads(), reference.loads());
@@ -1816,44 +1673,31 @@ mod tests {
     #[test]
     fn dyn_paths_agree_on_loads_graph_and_counters() {
         let make = || Engine::new(lazy_cycle(12), LoadVector::point_mass(12, 240));
-        let reference = {
-            let mut engine = make();
-            for _ in 0..20 {
-                engine
-                    .step_dyn(
-                        &mut SendFloor::new(),
-                        Some(&mut MiniChurn),
-                        Some(&mut Node0Arrivals { rate: 5 }),
-                    )
-                    .unwrap();
-            }
-            engine
-        };
+        let mut arrivals = Node0Arrivals { rate: 5 };
+        let mut reference = make();
+        for _ in 0..20 {
+            let (s, w) = (&mut MiniChurn, &mut arrivals);
+            reference
+                .run_dyn(&mut SendFloor::new(), 1, Some(s), Some(w))
+                .unwrap();
+        }
         assert_eq!(reference.topology_events_applied(), 3);
         assert!(reference.graph().graph().has_edge(0, 6), "swap landed");
         assert!(reference.graph().graph().is_awake(3), "woken back up");
 
-        let mut fast = make();
-        fast.run_fast_dyn(
-            &mut SendFloor::new(),
-            20,
-            Some::<&mut dyn TopologySchedule>(&mut MiniChurn),
-            Some(&mut Node0Arrivals { rate: 5 }),
-        )
-        .unwrap();
-        assert_eq!(fast.loads(), reference.loads());
-        assert_eq!(fast.graph(), reference.graph());
-        assert_eq!(fast.injected_total(), reference.injected_total());
-        assert_eq!(fast.topology_events_applied(), 3);
+        let mut batched = make();
+        let (s, w) = (&mut MiniChurn, &mut arrivals);
+        batched
+            .run_dyn(&mut SendFloor::new(), 20, Some(s), Some(w))
+            .unwrap();
+        assert_eq!(batched.loads(), reference.loads());
+        assert_eq!(batched.graph(), reference.graph());
+        assert_eq!(batched.injected_total(), reference.injected_total());
+        assert_eq!(batched.topology_events_applied(), 3);
 
         let mut kern = make();
-        kern.run_kernel_dyn(
-            &mut SendFloor::new(),
-            20,
-            Some(&mut MiniChurn),
-            Some(&mut Node0Arrivals { rate: 5 }),
-        )
-        .unwrap();
+        kern.run_kernel_dyn(&mut SendFloor::new(), 20, Some(s), Some(w))
+            .unwrap();
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.graph(), reference.graph());
         assert_eq!(kern.topology_events_applied(), 3);
@@ -1884,7 +1728,7 @@ mod tests {
                 .unwrap();
             } else {
                 for _ in 0..12 {
-                    e.step_dyn(&mut SendFloor::new(), Some(&mut sched), None)
+                    e.run_dyn(&mut SendFloor::new(), 1, Some(&mut sched), None)
                         .unwrap();
                     assert_eq!(
                         e.is_connected(),
@@ -1942,7 +1786,7 @@ mod tests {
         let mut e = Engine::new(gp, LoadVector::point_mass(8, 80));
         e.track_connectivity();
         let before = e.graph().clone();
-        let err = e.step_dyn(&mut SendFloor::new(), Some(&mut SwapThenBad), None);
+        let err = e.run_dyn(&mut SendFloor::new(), 1, Some(&mut SwapThenBad), None);
         assert!(matches!(err, Err(EngineError::Topology { .. })));
         assert_eq!(e.graph(), &before, "graph rolled back");
         assert_eq!(e.is_connected(), Some(true), "checker rolled back with it");
@@ -1973,12 +1817,7 @@ mod tests {
         let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(12, 100));
         engine
-            .run_dyn(
-                &mut rotor,
-                6,
-                Some::<&mut dyn TopologySchedule>(&mut SleepZero),
-                Option::<&mut dyn crate::Workload>::None,
-            )
+            .run_dyn(&mut rotor, 6, Some(&mut SleepZero), None)
             .unwrap();
         assert_eq!(engine.loads().total(), 100, "handoff conserves");
         assert!(!engine.graph().graph().is_awake(0));
@@ -2038,20 +1877,13 @@ mod tests {
         let make = || Engine::new(lazy_cycle(12), LoadVector::uniform(12, 10));
         let run_ref = || {
             let mut engine = make();
-            let mut err = None;
-            for _ in 0..50 {
-                match engine.step_dyn(
-                    &mut SendFloor::new(),
-                    Some(&mut SwapEveryRound),
-                    Some(&mut Node1Drain { rate: 4 }),
-                ) {
-                    Ok(_) => {}
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
+            let mut drain = Node1Drain { rate: 4 };
+            let err = (0..50).find_map(|_| {
+                let (s, w) = (&mut SwapEveryRound, &mut drain);
+                engine
+                    .run_dyn(&mut SendFloor::new(), 1, Some(s), Some(w))
+                    .err()
+            });
             (engine, err.expect("drain must trip the negative check"))
         };
         let (reference, ref_err) = run_ref();
@@ -2107,18 +1939,13 @@ mod tests {
         }
         let make = || Engine::new(lazy_cycle(12), LoadVector::point_mass(12, 120));
         let mut reference = make();
-        let mut ref_err = None;
-        for _ in 0..5 {
-            if let Err(e) = reference.step_dyn(
-                &mut SendFloor::new(),
-                Some(&mut BadAtRound3),
-                Option::<&mut dyn crate::Workload>::None,
-            ) {
-                ref_err = Some(e);
-                break;
-            }
-        }
-        let ref_err = ref_err.expect("round 3 must fail");
+        let ref_err = (0..5)
+            .find_map(|_| {
+                reference
+                    .run_dyn(&mut SendFloor::new(), 1, Some(&mut BadAtRound3), None)
+                    .err()
+            })
+            .expect("round 3 must fail");
         assert!(
             matches!(&ref_err, EngineError::Topology { step: 3, reason } if reason.contains("absent")),
             "unexpected error {ref_err:?}"
@@ -2205,12 +2032,8 @@ mod tests {
         };
         // Invalid round-1 event: Topology outranks the negative seed.
         let reference = drive(&|e| {
-            e.step_dyn(
-                &mut SendFloor::new(),
-                Some(&mut BadAtRound1),
-                Option::<&mut dyn crate::Workload>::None,
-            )
-            .unwrap_err()
+            e.run_dyn(&mut SendFloor::new(), 1, Some(&mut BadAtRound1), None)
+                .unwrap_err()
         });
         assert!(matches!(reference, EngineError::Topology { step: 1, .. }));
         let err = drive(&|e| {
@@ -2227,12 +2050,8 @@ mod tests {
         // itself must surface, with the erroring round's swap rolled
         // back everywhere.
         let reference = drive(&|e| {
-            e.step_dyn(
-                &mut SendFloor::new(),
-                Some(&mut ValidSwapRound1),
-                Option::<&mut dyn crate::Workload>::None,
-            )
-            .unwrap_err()
+            e.run_dyn(&mut SendFloor::new(), 1, Some(&mut ValidSwapRound1), None)
+                .unwrap_err()
         });
         assert_eq!(
             reference,
@@ -2307,7 +2126,7 @@ mod tests {
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 160));
         let mut probe = HintProbe { hints: Vec::new() };
         engine
-            .run_with(&mut SendFloor::new(), 40, Some(&mut probe))
+            .run_dyn(&mut SendFloor::new(), 40, None, Some(&mut probe))
             .unwrap();
         assert_eq!(probe.hints.len(), 40);
         assert!(
@@ -2318,7 +2137,12 @@ mod tests {
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 160));
         let mut probe = HintProbe { hints: Vec::new() };
         engine
-            .run_kernel_with(&mut SendFloor::new(), 40, Some(&mut probe))
+            .run_kernel_dyn(
+                &mut SendFloor::new(),
+                40,
+                StaticTopology::none(),
+                Some(&mut probe),
+            )
             .unwrap();
         assert!(probe.hints.iter().all(Option::is_none));
     }
@@ -2361,26 +2185,17 @@ mod tests {
         // Reference: 20 uninterrupted dynamic rounds (swap at 2, sleep
         // at 4, wake at 8, steady node-0 arrivals).
         let make = || Engine::new(lazy_cycle(12), LoadVector::point_mass(12, 240));
+        let (s, w) = (&mut MiniChurn, &mut Node0Arrivals { rate: 5 });
         let mut reference = make();
         reference
-            .run_fast_dyn(
-                &mut SendFloor::new(),
-                20,
-                Some::<&mut dyn TopologySchedule>(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
+            .run_dyn(&mut SendFloor::new(), 20, Some(s), Some(w))
             .unwrap();
 
         // Split at round 3 — before the sleep/wake pair, so the asleep
         // list crosses the snapshot boundary in both directions.
         let mut first = make();
         first
-            .run_fast_dyn(
-                &mut SendFloor::new(),
-                3,
-                Some::<&mut dyn TopologySchedule>(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
+            .run_dyn(&mut SendFloor::new(), 3, Some(s), Some(w))
             .unwrap();
         let state = first.export_state();
         assert_eq!(state, state.clone(), "state is a plain value");
@@ -2388,14 +2203,9 @@ mod tests {
         // MiniChurn keys on the absolute round number, which the
         // restored step cursor preserves.
         resumed
-            .run_fast_dyn(
-                &mut SendFloor::new(),
-                17,
-                Some::<&mut dyn TopologySchedule>(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
+            .run_dyn(&mut SendFloor::new(), 17, Some(s), Some(w))
             .unwrap();
-        assert_counters_match(&resumed, &reference, "fast-path resume");
+        assert_counters_match(&resumed, &reference, "planned-path resume");
 
         // Same split driven through the kernel path.
         let mut kern = make();
@@ -2454,13 +2264,13 @@ mod tests {
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1600));
         let mut probe = HintProbe { hints: Vec::new() };
         engine
-            .run_with(&mut SendFloor::new(), 10, Some(&mut probe))
+            .run_dyn(&mut SendFloor::new(), 10, None, Some(&mut probe))
             .unwrap();
         let scans_at_export = engine.discrepancy_scans();
         let mut resumed = Engine::from_state(engine.export_state());
         let mut probe = HintProbe { hints: Vec::new() };
         resumed
-            .run_with(&mut SendFloor::new(), 10, Some(&mut probe))
+            .run_dyn(&mut SendFloor::new(), 10, None, Some(&mut probe))
             .unwrap();
         assert_eq!(probe.hints.len(), 10);
         assert!(probe.hints.iter().all(Option::is_some));

@@ -159,9 +159,9 @@ impl FlowPlan {
 ///
 /// Definition 2.1 (cumulative δ-fairness) is a statement about this
 /// ledger: for all `t` and every pair of *original* edges `e₁, e₂` of a
-/// node, `|F_t(e₁) − F_t(e₂)| ≤ δ`. The
-/// [`FairnessMonitor`](crate::fairness::FairnessMonitor) reads the
-/// ledger after every step.
+/// node, `|F_t(e₁) − F_t(e₂)| ≤ δ`. A
+/// [`FairnessMonitor`](crate::fairness::FairnessMonitor) owns one and
+/// records every step it observes into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CumulativeLedger {
     n: usize,

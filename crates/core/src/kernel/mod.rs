@@ -10,7 +10,8 @@
 //! once over the CSR adjacency per round, computes each node's port
 //! flows in registers (a stack buffer the optimiser scalarises), and
 //! applies signed load deltas into a double-buffered `Vec<i64>` — no
-//! plan writes, no touched-set bookkeeping, no ledger.
+//! plan writes, no touched-set bookkeeping, no plan for a fairness
+//! monitor to observe.
 //!
 //! Loads are double-buffered per round: the kernel reads `x_t` from the
 //! front buffer and accumulates `x_{t+1}` in the back buffer, so a

@@ -161,7 +161,7 @@ mod tests {
             None => {}
             Some(s) => assert!(s >= 4, "scheme must witness s >= 4, got {s}"),
         }
-        assert!(engine.ledger().original_edge_spread() <= 1);
+        assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
     }
 
     #[test]
@@ -169,8 +169,9 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = GoodBalancer::new(&gp, 2).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 997));
+        engine.attach_monitor();
         engine.run(&mut bal, 600).unwrap();
-        assert!(engine.ledger().original_edge_spread() <= 1);
+        assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
         assert_eq!(engine.loads().total(), 997);
     }
 

@@ -116,6 +116,7 @@ mod tests {
         let d_plus = 4u64;
         let mut bal = QuasirandomDiffusion::new(&gp);
         let mut engine = Engine::new(gp.clone(), LoadVector::point_mass(6, 600));
+        engine.attach_monitor();
         let mut continuous_numerator = [0u64; 6 * 2]; // Σ_τ x_τ(u) per edge
         for _ in 0..200 {
             for u in 0..6 {
@@ -128,7 +129,8 @@ mod tests {
         }
         for u in 0..6 {
             for p in 0..2 {
-                let discrete = engine.ledger().get(u, p) as i128 * d_plus as i128;
+                let discrete =
+                    engine.monitor().unwrap().ledger().get(u, p) as i128 * d_plus as i128;
                 let continuous = continuous_numerator[u * 2 + p] as i128;
                 assert!(
                     (discrete - continuous).abs() < d_plus as i128,

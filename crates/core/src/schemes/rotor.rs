@@ -231,9 +231,9 @@ mod tests {
         engine.attach_monitor();
         engine.run(&mut rr, 500).unwrap();
         assert!(
-            engine.ledger().original_edge_spread() <= 1,
+            engine.monitor().unwrap().ledger().original_edge_spread() <= 1,
             "spread {} exceeds δ = 1",
-            engine.ledger().original_edge_spread()
+            engine.monitor().unwrap().ledger().original_edge_spread()
         );
         let m = engine.monitor().unwrap();
         assert_eq!(m.round_violations(), 0, "rotor-router is round-fair");

@@ -203,7 +203,7 @@ mod tests {
             Some(s) => assert!(s >= 1, "witnessed s = {s}"),
         }
         // Cumulative 1-fairness on original edges.
-        assert!(engine.ledger().original_edge_spread() <= 1);
+        assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
     }
 
     #[test]

@@ -194,12 +194,13 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::FirstPorts);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1001));
+        engine.attach_monitor();
         engine.run(&mut bal, 400).unwrap();
         // Port 0 keeps winning the surplus: the spread grows with t.
         assert!(
-            engine.ledger().original_edge_spread() > 10,
+            engine.monitor().unwrap().ledger().original_edge_spread() > 10,
             "spread {} should grow",
-            engine.ledger().original_edge_spread()
+            engine.monitor().unwrap().ledger().original_edge_spread()
         );
     }
 
@@ -208,8 +209,9 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::RoundRobin);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1001));
+        engine.attach_monitor();
         engine.run(&mut bal, 400).unwrap();
-        assert!(engine.ledger().original_edge_spread() <= 1);
+        assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
     }
 
     #[test]
@@ -252,8 +254,9 @@ mod tests {
             let gp = lazy_cycle(8);
             let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::LaggedRotor { period });
             let mut engine = Engine::new(gp, LoadVector::point_mass(8, 999));
+            engine.attach_monitor();
             engine.run(&mut bal, 1000).unwrap();
-            engine.ledger().original_edge_spread()
+            engine.monitor().unwrap().ledger().original_edge_spread()
         };
         let s1 = spread_for(1);
         let s8 = spread_for(8);

@@ -29,7 +29,7 @@ use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector};
 /// engine.attach_monitor();
 /// engine.run(&mut SendFloor::new(), 300)?;
 /// // Cumulative 0-fairness, machine-checked:
-/// assert_eq!(engine.ledger().original_edge_spread(), 0);
+/// assert_eq!(engine.monitor().unwrap().ledger().original_edge_spread(), 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -255,8 +255,9 @@ mod tests {
     fn send_floor_is_cumulatively_zero_fair() {
         let gp = lazy_cycle(8);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 997));
+        engine.attach_monitor();
         engine.run(&mut SendFloor::new(), 200).unwrap();
-        assert_eq!(engine.ledger().original_edge_spread(), 0);
+        assert_eq!(engine.monitor().unwrap().ledger().original_edge_spread(), 0);
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub mod atomic {
 /// Scoped threads: `std::thread::scope` or the model-checked shim.
 pub mod thread {
     #[cfg(not(dlb_model))]
-    pub use std::thread::{scope, Scope, ScopedJoinHandle};
+    pub use std::thread::scope;
 
     #[cfg(dlb_model)]
-    pub use loom::thread::{scope, Scope, ScopedJoinHandle};
+    pub use loom::thread::scope;
 }

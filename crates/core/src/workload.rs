@@ -6,11 +6,9 @@
 //! arrives and departs while balancing runs (cf. load balancing in
 //! dynamic networks, Gilbert–Meir–Paz, arXiv:2105.13194). This module
 //! is the engine-side hook for that regime: a [`Workload`] produces a
-//! signed per-node load delta every round, and the engine's `*_with`
-//! entry points ([`Engine::step_with`](crate::Engine::step_with),
-//! [`Engine::run_with`](crate::Engine::run_with),
-//! [`Engine::run_fast_with`](crate::Engine::run_fast_with),
-//! [`Engine::run_kernel_with`](crate::Engine::run_kernel_with))
+//! signed per-node load delta every round, and the engine's `*_dyn`
+//! entry points ([`Engine::run_dyn`](crate::Engine::run_dyn),
+//! [`Engine::run_kernel_dyn`](crate::Engine::run_kernel_dyn))
 //! apply it under one shared round structure:
 //!
 //! 1. **inject** — `x'_t = x_t + w_t`, where `w_t` is the workload's
@@ -134,16 +132,16 @@ pub trait Workload: Send {
 ///
 /// This is the type behind the closed-system entry points —
 /// [`Engine::run_kernel`](crate::Engine::run_kernel) is
-/// `run_kernel_with(…, Option::<&mut NoWorkload>::None)`, so the
+/// `run_kernel_dyn(…, Option::<&mut NoWorkload>::None)`, so the
 /// injection branch monomorphises against a statically absent workload
 /// and the closed-system loop compiles as before.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoWorkload;
 
 impl NoWorkload {
-    /// The absent-workload argument for the `*_with` entry points, for
+    /// The absent-workload argument for the `*_dyn` entry points, for
     /// callers who want the closed system spelled out:
-    /// `engine.run_kernel_with(&mut bal, steps, NoWorkload::none())`.
+    /// `engine.run_kernel_dyn(&mut bal, steps, StaticTopology::none(), NoWorkload::none())`.
     #[must_use]
     pub fn none() -> Option<&'static mut NoWorkload> {
         None

@@ -19,8 +19,8 @@
 //!   pin the minimum load near zero — reported honestly),
 //! * the **events applied** (how much churn actually landed), and
 //! * a **bit-identity verdict**: the same rounds of churn + injection
-//!   are replayed through `step_dyn`, `run_fast_dyn` and
-//!   `run_kernel_dyn`, each with freshly built — hence
+//!   are replayed through a one-round `run_dyn` loop, one `run_dyn`
+//!   call and `run_kernel_dyn`, each with freshly built — hence
 //!   stream-identical — schedule and workload, and every path must
 //!   reproduce the reference **loads, injected totals, event counts,
 //!   final graph (adjacency, port numbering and sleep state), and —
@@ -148,7 +148,7 @@ struct PathOutcome {
 #[derive(Clone, Copy)]
 enum Path {
     Step,
-    RunFast,
+    Run,
     Kernel,
 }
 
@@ -174,7 +174,7 @@ fn drive_path(
         .transpose()?;
 
     match path {
-        Path::Step | Path::RunFast => {
+        Path::Step | Path::Run => {
             let mut boxed = match &mut rotor {
                 Some(_) => None,
                 None => Some(scheme.build(gp)?),
@@ -184,19 +184,13 @@ fn drive_path(
                 (None, Some(b)) => b.as_mut(),
                 _ => unreachable!(),
             };
-            if matches!(path, Path::Step) {
-                for _ in 0..rounds {
-                    let s = schedule.as_deref_mut();
-                    let w = workload.as_deref_mut();
-                    engine.step_dyn(bal, s, w)?;
-                }
-            } else {
-                engine.run_fast_dyn(
-                    bal,
-                    rounds,
-                    schedule.as_deref_mut(),
-                    workload.as_deref_mut(),
-                )?;
+            // One round per call, or the whole horizon in one call.
+            let (calls, chunk) = match path {
+                Path::Step => (rounds, 1),
+                _ => (1, rounds),
+            };
+            for _ in 0..calls {
+                engine.run_dyn(bal, chunk, schedule.as_deref_mut(), workload.as_deref_mut())?;
             }
         }
         Path::Kernel => {
@@ -283,7 +277,7 @@ fn churn_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunError>
                 for wspec in &workload_specs(n) {
                     let started = Instant::now();
 
-                    // The metric run: scenario phases over step_dyn.
+                    // The metric run: scenario phases, one round at a time.
                     let mut bal = scheme.build(&gp)?;
                     let mut schedule = sspec.build();
                     let mut workload = wspec.as_ref().map_or_else(
@@ -311,7 +305,7 @@ fn churn_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunError>
                     let mut identical = reference.loads == report.loads_after_injection
                         && reference.injected == report.injected_total
                         && reference.events == report.topology_events;
-                    for path in [Path::RunFast, Path::Kernel] {
+                    for path in [Path::Run, Path::Kernel] {
                         let outcome =
                             drive_path(&gp, scheme, sspec, wspec, &initial, rounds, path)?;
                         paths += 1;

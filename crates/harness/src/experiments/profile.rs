@@ -6,11 +6,10 @@
 //! serve layer's profiled scheduler) and report per-phase totals and
 //! log-bucketed latency quantiles:
 //!
-//! * **serial** — the instrumented dynamic round loop
-//!   (`run_dyn_traced`): `plan`/`validate`/`route` spans on a closed
-//!   cycle;
-//! * **churn** — the fused fast path (`run_fast_dyn_traced`) under
-//!   periodic rewiring plus steady injection:
+//! * **serial** — the planned round loop (`run_dyn_traced`):
+//!   `plan`/`validate`/`route` spans on a closed cycle;
+//! * **churn** — the same planned path under periodic rewiring plus
+//!   steady injection:
 //!   `mutate`/`inject`/`plan`/`validate`/`route`;
 //! * **kernel** — the plan-free delta-kernel path
 //!   (`run_kernel_dyn_traced`) for a stateful scheme: fused `stream`
@@ -93,7 +92,7 @@ fn phase_rows(cell: &'static str, sink: &RingSink) -> Vec<PhaseRow> {
     rows
 }
 
-/// The serial instrumented round loop on a closed cycle.
+/// The serial planned round loop on a closed cycle.
 fn cell_serial(quick: bool, trace: &mut Vec<Event>) -> Result<Cell, RunError> {
     let n = if quick { 1024 } else { 8192 };
     let steps = if quick { 256 } else { 512 };
@@ -117,7 +116,7 @@ fn cell_serial(quick: bool, trace: &mut Vec<Event>) -> Result<Cell, RunError> {
     })
 }
 
-/// The fused fast path under periodic churn plus steady injection.
+/// The planned path under periodic churn plus steady injection.
 fn cell_churn(quick: bool) -> Result<Cell, RunError> {
     let n = if quick { 1024 } else { 8192 };
     let steps = if quick { 128 } else { 256 };
@@ -134,7 +133,7 @@ fn cell_churn(quick: bool) -> Result<Cell, RunError> {
     let mut traced = Engine::new(gp.clone(), initial.clone());
     let mut schedule = sspec.build();
     let mut workload = wspec.build(n);
-    traced.run_fast_dyn_traced(
+    traced.run_dyn_traced(
         &mut SendFloor::new(),
         steps,
         schedule.as_deref_mut(),
@@ -145,7 +144,7 @@ fn cell_churn(quick: bool) -> Result<Cell, RunError> {
     let mut twin = Engine::new(gp, initial);
     let mut schedule = sspec.build();
     let mut workload = wspec.build(n);
-    twin.run_fast_dyn(
+    twin.run_dyn(
         &mut SendFloor::new(),
         steps,
         schedule.as_deref_mut(),

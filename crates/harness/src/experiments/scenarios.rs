@@ -16,8 +16,9 @@
 //!   the cycle at full size legitimately needs more rounds than the
 //!   budget), and
 //! * a **bit-identity** verdict: the same `rounds` of injection are
-//!   replayed through `step_with`, `run_fast_with` and
-//!   `run_kernel_with`, each with a freshly built — hence stream-identical — workload, and
+//!   replayed through the scenario's one-round `run_dyn` loop, one
+//!   `run_dyn` call and `run_kernel_dyn`, each with a freshly built —
+//!   hence stream-identical — workload, and
 //!   every path must reproduce the reference loads and injected totals
 //!   exactly.
 //!
@@ -29,7 +30,7 @@
 use std::time::Instant;
 
 use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
-use dlb_core::{Engine, LoadVector};
+use dlb_core::{Engine, LoadVector, StaticTopology};
 use dlb_graph::{BalancingGraph, PortOrder};
 use dlb_scenario::{Scenario, ScenarioReport, WorkloadSpec};
 
@@ -71,11 +72,11 @@ fn workload_specs(n: usize) -> Vec<WorkloadSpec> {
     ]
 }
 
-/// Replays `rounds` of injection through one named fast path,
+/// Replays `rounds` of injection through one named batched path,
 /// returning the final loads and the engine's net injected total.
 /// Every call builds a fresh workload from `spec`, so every path sees
-/// the identical delta stream the scenario's instrumented run saw (the
-/// scenario itself provides the step-path reference).
+/// the identical delta stream the scenario's round-by-round run saw
+/// (the scenario itself provides the reference).
 fn run_path(
     gp: &BalancingGraph,
     scheme: &SchemeSpec,
@@ -88,30 +89,33 @@ fn run_path(
     let mut workload = spec.build(n);
     let mut engine = Engine::new(gp.clone(), initial.clone());
     match path {
-        Path::RunFast => {
+        Path::Run => {
             let mut bal = scheme.build(gp)?;
-            engine.run_fast_with(bal.as_mut(), rounds, Some(workload.as_mut()))?;
+            engine.run_dyn(bal.as_mut(), rounds, None, Some(workload.as_mut()))?;
         }
-        Path::Kernel => match scheme {
-            SchemeSpec::SendFloor => {
-                engine.run_kernel_with(&mut SendFloor::new(), rounds, Some(workload.as_mut()))?;
+        Path::Kernel => {
+            let (s, w) = (StaticTopology::none(), Some(workload.as_mut()));
+            match scheme {
+                SchemeSpec::SendFloor => {
+                    engine.run_kernel_dyn(&mut SendFloor::new(), rounds, s, w)?
+                }
+                SchemeSpec::SendRound => {
+                    engine.run_kernel_dyn(&mut SendRound::new(), rounds, s, w)?
+                }
+                SchemeSpec::RotorRouter => {
+                    let mut rotor = RotorRouter::new(gp, PortOrder::Sequential)?;
+                    engine.run_kernel_dyn(&mut rotor, rounds, s, w)?;
+                }
+                other => panic!("no kernel dispatch for {}", other.label()),
             }
-            SchemeSpec::SendRound => {
-                engine.run_kernel_with(&mut SendRound::new(), rounds, Some(workload.as_mut()))?;
-            }
-            SchemeSpec::RotorRouter => {
-                let mut rotor = RotorRouter::new(gp, PortOrder::Sequential)?;
-                engine.run_kernel_with(&mut rotor, rounds, Some(workload.as_mut()))?;
-            }
-            other => panic!("no kernel dispatch for {}", other.label()),
-        },
+        }
     }
     Ok((engine.loads().clone(), engine.injected_total()))
 }
 
 #[derive(Clone, Copy)]
 enum Path {
-    RunFast,
+    Run,
     Kernel,
 }
 
@@ -175,10 +179,11 @@ fn scenarios_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunEr
                 let report = scenario.run(&gp, &initial, bal.as_mut(), workload.as_mut())?;
 
                 // Cross-path bit-identity under this workload. The
-                // scenario's own injection phase *is* the instrumented
-                // step-path run (a fresh build of the same spec replays
-                // the identical delta stream), so its end-of-injection
-                // state is the reference — no second step-path replay.
+                // scenario's own injection phase *is* the round-by-round
+                // run (a fresh build of the same spec replays the
+                // identical delta stream), so its end-of-injection
+                // state is the reference — no second round-by-round
+                // replay.
                 let ref_loads = report.loads_after_injection.clone();
                 let ref_injected = report.injected_total;
                 let mut paths = 1usize;
@@ -187,14 +192,7 @@ fn scenarios_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunEr
                     paths += 1;
                     identical &= outcome.0 == ref_loads && outcome.1 == ref_injected;
                 };
-                check(run_path(
-                    &gp,
-                    scheme,
-                    wspec,
-                    &initial,
-                    rounds,
-                    Path::RunFast,
-                )?);
+                check(run_path(&gp, scheme, wspec, &initial, rounds, Path::Run)?);
                 check(run_path(
                     &gp,
                     scheme,

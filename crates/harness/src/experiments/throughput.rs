@@ -1,8 +1,8 @@
 //! T1 — step throughput of the engine's execution paths.
 //!
-//! Sweeps scheme × graph × n over the instrumented stepping loop
-//! (`Engine::step`, per-step statistics), the fused serial fast path
-//! (`Engine::run_fast`) and the plan-free delta-kernel path
+//! Sweeps scheme × graph × n over the stepping loop (`Engine::step`,
+//! per-step statistics), the batched planned path (`Engine::run`) and
+//! the plan-free delta-kernel path
 //! (`Engine::run_kernel`), cross-checking that every path produces
 //! bit-identical final loads. Graphs with poor generator labelings
 //! (random regular) are additionally measured after a reverse
@@ -88,7 +88,7 @@ fn run_instrumented(
     Ok((started.elapsed().as_secs_f64(), engine.loads().clone()))
 }
 
-fn run_fast(
+fn run_planned(
     gp: &BalancingGraph,
     scheme: &SchemeSpec,
     initial: &LoadVector,
@@ -97,7 +97,7 @@ fn run_fast(
     let mut bal = scheme.build(gp)?;
     let mut engine = Engine::new(gp.clone(), initial.clone());
     let started = Instant::now();
-    engine.run_fast(bal.as_mut(), steps)?;
+    engine.run(bal.as_mut(), steps)?;
     Ok((started.elapsed().as_secs_f64(), engine.loads().clone()))
 }
 
@@ -316,9 +316,9 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
             let (sec, ok, il, lw) = planned(instr_sec, true);
             push("step-loop".into(), false, sec, ok, il, lw);
 
-            let (fast_sec, fast_loads) = run_fast(&gp, scheme, &initial, steps)?;
-            let (sec, ok, il, lw) = planned(fast_sec, fast_loads == instr_loads);
-            push("run_fast".into(), false, sec, ok, il, lw);
+            let (run_sec, run_loads) = run_planned(&gp, scheme, &initial, steps)?;
+            let (sec, ok, il, lw) = planned(run_sec, run_loads == instr_loads);
+            push("run".into(), false, sec, ok, il, lw);
 
             // The production configuration: automatic vector dispatch.
             if let Some((kern_sec, kern_loads, stats)) =
@@ -546,9 +546,9 @@ mod tests {
         let json_path = dir.join("BENCH_PR8.json");
         let table = throughput_to(true, &json_path).expect("quick sweep runs");
 
-        // Cycle/torus: SEND schemes get step-loop + run_fast +
+        // Cycle/torus: SEND schemes get step-loop + run +
         // run_kernel{auto,scalar,i64,dyn-static} (6 rows each), the
-        // rotor-router gets step-loop + run_fast + run_kernel (3 rows):
+        // rotor-router gets step-loop + run + run_kernel (3 rows):
         // 15 per graph. Random-regular adds relabeled rows: step-loop +
         // kernel-auto + kernel-scalar per SEND scheme, step-loop +
         // kernel-auto for the rotor (8 rows) — 23 total.

@@ -1,6 +1,6 @@
 //! # dlb-obs — zero-cost tracing and metrics for the balancing stack
 //!
-//! Every execution path in the workspace — the instrumented serial
+//! Every execution path in the workspace — the planned serial
 //! round, the plan-free streaming kernel, the vectorized uniform
 //! rounds and the multi-tenant server —
 //! shares one phase vocabulary ([`Phase`]) and one probe mechanism
@@ -24,9 +24,10 @@
 //! style: ≤ 12.5% relative error) that absorb the ad-hoc stats structs
 //! scattered across the crates (`VectorStats`, kernel rescan counts,
 //! engine scan counters, serve totals). Exporters turn either side
-//! into standard formats: JSONL event dumps and chrome://tracing JSON
-//! for the event stream ([`export`]), Prometheus-style text exposition
-//! for the registry ([`MetricRegistry::render_prometheus`]).
+//! into standard formats: JSONL event dumps ([`events_jsonl`]) and
+//! chrome://tracing JSON ([`chrome_trace`]) for the event stream,
+//! Prometheus-style text exposition for the registry
+//! ([`MetricRegistry::render_prometheus`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,9 +19,9 @@
 //!    **time to recover** after a burst. `None` means the threshold was
 //!    not reached within the budget (reported honestly, not an error).
 //!
-//! The runner uses the instrumented `step_with` path for the injection
-//! phase (it reads per-round statistics anyway) and the engine's
-//! incremental `run_until` for recovery.
+//! The runner drives the injection phase one round at a time through
+//! [`Engine::run_dyn`] (it reads the discrepancy after every round
+//! anyway) and uses the engine's incremental `run_until` for recovery.
 
 use dlb_core::{
     Balancer, Engine, EngineError, EngineState, LoadVector, TopologySchedule, Workload,
@@ -280,15 +280,16 @@ impl Scenario {
         while engine.step_count() < upto {
             let round = engine.step_count();
             let s = schedule.as_deref_mut();
-            let summary = engine.step_dyn(balancer, s, Some(workload))?;
+            engine.run_dyn(balancer, 1, s, Some(workload))?;
+            let discrepancy = engine.loads().discrepancy();
             if let Some(t) = trace.as_deref_mut() {
-                t.push(summary.discrepancy);
+                t.push(discrepancy);
             }
             stats.peak_load = stats.peak_load.max(engine.loads().max());
-            stats.peak_discrepancy = stats.peak_discrepancy.max(summary.discrepancy);
+            stats.peak_discrepancy = stats.peak_discrepancy.max(discrepancy);
             if round >= tail_start {
-                stats.tail_max = stats.tail_max.max(summary.discrepancy);
-                stats.tail_sum += summary.discrepancy;
+                stats.tail_max = stats.tail_max.max(discrepancy);
+                stats.tail_sum += discrepancy;
                 stats.tail_rounds += 1;
             }
         }
@@ -390,7 +391,8 @@ pub struct ScenarioReport {
     pub final_discrepancy: i64,
     /// The load vector at the end of the injection phase (before
     /// recovery) — the reference the scenario harness checks the other
-    /// execution paths against without replaying the instrumented run.
+    /// execution paths against without replaying the round-by-round
+    /// run.
     pub loads_after_injection: LoadVector,
 }
 

@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn adversary_scans_are_zero_on_the_planned_paths() {
         use dlb_core::schemes::SendFloor;
-        use dlb_core::{Engine, LoadVector};
+        use dlb_core::{Engine, LoadVector, StaticTopology};
         use dlb_graph::{generators, BalancingGraph};
 
         let gp = BalancingGraph::lazy(generators::cycle(32).unwrap());
@@ -614,7 +614,7 @@ mod tests {
         let mut planned = BoundedAdversary::new(7);
         let mut engine = Engine::new(gp.clone(), initial.clone());
         engine
-            .run_with(&mut SendFloor::new(), 60, Some(&mut planned))
+            .run_dyn(&mut SendFloor::new(), 60, None, Some(&mut planned))
             .unwrap();
         assert_eq!(
             planned.scans(),
@@ -626,7 +626,12 @@ mod tests {
         let mut fallback = BoundedAdversary::new(7);
         let mut kernel = Engine::new(gp, initial);
         kernel
-            .run_kernel_with(&mut SendFloor::new(), 60, Some(&mut fallback))
+            .run_kernel_dyn(
+                &mut SendFloor::new(),
+                60,
+                StaticTopology::none(),
+                Some(&mut fallback),
+            )
             .unwrap();
         assert_eq!(fallback.scans(), 60, "kernel path pays one scan per round");
         assert_eq!(
@@ -679,7 +684,7 @@ mod tests {
         let gp = BalancingGraph::lazy(generators::cycle(16).unwrap());
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 160));
         engine
-            .run_with(&mut SendFloor::new(), 40, Some(&mut composed))
+            .run_dyn(&mut SendFloor::new(), 40, None, Some(&mut composed))
             .unwrap();
         assert_eq!(engine.injected_total(), 40 * (5 + 3));
 

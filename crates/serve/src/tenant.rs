@@ -94,8 +94,8 @@ pub struct TenantOutcome {
 }
 
 /// The concrete scheme a tenant runs; kernel-capable variants take the
-/// engine's `run_kernel_dyn` path, ROTOR-ROUTER* the scalar
-/// `run_fast_dyn` path.
+/// engine's `run_kernel_dyn` path, ROTOR-ROUTER* the planned
+/// `run_dyn` path.
 #[derive(Debug, Clone)]
 enum SchemeInstance {
     Floor(SendFloor),
@@ -149,8 +149,8 @@ impl SchemeInstance {
     }
 
     /// Advances `engine` by `steps` rounds on this scheme's path —
-    /// `run_kernel_dyn` for the kernel-capable schemes, `run_fast_dyn`
-    /// for ROTOR-ROUTER*. Generic over the schedule and workload so
+    /// `run_kernel_dyn` for the kernel-capable schemes, `run_dyn` for
+    /// ROTOR-ROUTER*. Generic over the schedule and workload so
     /// the live and replay callers each keep a monomorphised round
     /// loop.
     fn advance<S: TopologySchedule, W: Workload>(
@@ -170,9 +170,7 @@ impl SchemeInstance {
             SchemeInstance::Rotor(b) => {
                 engine.run_kernel_dyn(b, steps, Some(schedule), Some(workload))
             }
-            SchemeInstance::Star(b) => {
-                engine.run_fast_dyn(b, steps, Some(schedule), Some(workload))
-            }
+            SchemeInstance::Star(b) => engine.run_dyn(b, steps, Some(schedule), Some(workload)),
         }
     }
 

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          cumulatively {}-fair on original edges",
         engine.step_count(),
         monitor.round_violations(),
-        engine.ledger().original_edge_spread(),
+        monitor.ledger().original_edge_spread(),
     );
     println!(
         "Theorem 2.3(ii) bound d·√n = {:.0}; measured {} — bound holds",

@@ -48,7 +48,7 @@
 //!
 //! // Balanced to a handful of tokens, cumulatively 1-fair throughout.
 //! assert!(engine.loads().discrepancy() <= 8);
-//! assert!(engine.ledger().original_edge_spread() <= 1);
+//! assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

@@ -78,7 +78,7 @@ fn user_written_balancer_plugs_into_everything() {
     // The monitor catches the class violations a reviewer would ask
     // about: port 0 hogs everything, so floor violations abound.
     assert!(engine.monitor().unwrap().floor_violations() > 0);
-    assert!(engine.ledger().original_edge_spread() > 10);
+    assert!(engine.monitor().unwrap().ledger().original_edge_spread() > 10);
 }
 
 #[test]

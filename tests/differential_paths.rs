@@ -1,7 +1,7 @@
 //! Differential fuzzing of the engine's execution paths.
 //!
-//! One semantics, three implementations: the instrumented `step_dyn`
-//! loop, the fused `run_fast_dyn` and the plan-free `run_kernel_dyn`
+//! One semantics, three implementations: a one-round `run_dyn` loop,
+//! one batched `run_dyn` call and the plan-free `run_kernel_dyn`
 //! (with its vector inner loops forced where they apply). This suite
 //! drives randomized scheme × graph × load × workload × **topology
 //! schedule** combinations through every applicable path and asserts
@@ -235,58 +235,58 @@ fn build_rotor(scheme: SchemeId, gp: &BalancingGraph) -> Option<RotorRouter> {
     (scheme == SchemeId::Rotor).then(|| RotorRouter::new(gp, PortOrder::Sequential).unwrap())
 }
 
-fn drive_step_loop(
-    gp: &BalancingGraph,
-    scheme: SchemeId,
-    sspec: &Option<ScheduleSpec>,
-    wspec: &Option<WorkloadSpec>,
-    initial: &LoadVector,
-    steps: usize,
-) -> Outcome {
-    let mut rotor = build_rotor(scheme, gp);
-    let mut boxed = rotor.is_none().then(|| scheme.build(gp));
-    let mut schedule = build_schedule(sspec);
-    let mut workload = build_workload(wspec, gp.num_nodes());
-    let mut engine = Engine::new(gp.clone(), initial.clone());
-    let mut error = None;
-    for _ in 0..steps {
-        let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-            (Some(r), _) => r,
-            (None, Some(b)) => b.as_mut(),
-            _ => unreachable!(),
-        };
-        match engine.step_dyn(bal, schedule.as_deref_mut(), workload.as_deref_mut()) {
-            Ok(_) => {}
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    Outcome::capture(&engine, rotor.map(|r| r.rotors().to_vec()), error)
-}
-
-fn drive_run_fast(
-    gp: &BalancingGraph,
-    scheme: SchemeId,
-    sspec: &Option<ScheduleSpec>,
-    wspec: &Option<WorkloadSpec>,
-    initial: &LoadVector,
-    steps: usize,
-) -> Outcome {
-    let mut rotor = build_rotor(scheme, gp);
-    let mut boxed = rotor.is_none().then(|| scheme.build(gp));
-    let mut schedule = build_schedule(sspec);
-    let mut workload = build_workload(wspec, gp.num_nodes());
-    let mut engine = Engine::new(gp.clone(), initial.clone());
-    let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
+/// The scheme as a planned-path balancer: the concrete rotor when
+/// there is one (its state stays observable), else the boxed scheme.
+fn planned<'a>(
+    rotor: &'a mut Option<RotorRouter>,
+    boxed: &'a mut Option<Box<dyn Balancer>>,
+) -> &'a mut dyn Balancer {
+    match (rotor, boxed) {
         (Some(r), _) => r,
         (None, Some(b)) => b.as_mut(),
         _ => unreachable!(),
-    };
-    let error = engine
-        .run_fast_dyn(bal, steps, schedule.as_deref_mut(), workload.as_deref_mut())
-        .err();
+    }
+}
+
+/// Drives `rounds` planned rounds as `run_dyn` calls of `chunk` rounds
+/// each (the last may be shorter), stopping at the first error.
+fn run_chunked(
+    engine: &mut Engine,
+    bal: &mut dyn Balancer,
+    rounds: usize,
+    chunk: usize,
+    schedule: &mut Option<Box<dyn TopologySchedule>>,
+    workload: &mut Option<Box<dyn Workload>>,
+) -> Option<EngineError> {
+    let mut done = 0;
+    while done < rounds {
+        let k = chunk.min(rounds - done);
+        if let Err(e) = engine.run_dyn(bal, k, schedule.as_deref_mut(), workload.as_deref_mut()) {
+            return Some(e);
+        }
+        done += k;
+    }
+    None
+}
+
+/// The planned paths: `chunk = 1` is the round-by-round reference
+/// loop, `chunk = steps` one batched `run_dyn` call.
+fn drive_planned(
+    gp: &BalancingGraph,
+    scheme: SchemeId,
+    sspec: &Option<ScheduleSpec>,
+    wspec: &Option<WorkloadSpec>,
+    initial: &LoadVector,
+    steps: usize,
+    chunk: usize,
+) -> Outcome {
+    let mut rotor = build_rotor(scheme, gp);
+    let mut boxed = rotor.is_none().then(|| scheme.build(gp));
+    let mut schedule = build_schedule(sspec);
+    let mut workload = build_workload(wspec, gp.num_nodes());
+    let mut engine = Engine::new(gp.clone(), initial.clone());
+    let bal = planned(&mut rotor, &mut boxed);
+    let error = run_chunked(&mut engine, bal, steps, chunk, &mut schedule, &mut workload);
     Outcome::capture(&engine, rotor.map(|r| r.rotors().to_vec()), error)
 }
 
@@ -342,12 +342,8 @@ fn drive_run_kernel_forced(
     let mut engine = Engine::new(gp.clone(), initial.clone());
     engine.set_vector_config(config);
     let error = match scheme {
-        SchemeId::SendFloor => engine
-            .run_kernel_with(&mut SendFloor::new(), steps, None::<&mut dyn Workload>)
-            .err(),
-        SchemeId::SendRound => engine
-            .run_kernel_with(&mut SendRound::new(), steps, None::<&mut dyn Workload>)
-            .err(),
+        SchemeId::SendFloor => engine.run_kernel(&mut SendFloor::new(), steps).err(),
+        SchemeId::SendRound => engine.run_kernel(&mut SendRound::new(), steps).err(),
         _ => return None,
     };
     Some(Outcome::capture(&engine, None, error))
@@ -417,9 +413,9 @@ proptest! {
         let wname = wspec.as_ref().map_or_else(|| "none".into(), WorkloadSpec::label);
         let tag = format!("{gname}/{sname}/{wname}");
 
-        let reference = drive_step_loop(&gp, scheme, &sspec, &wspec, &initial, steps);
-        let fast = drive_run_fast(&gp, scheme, &sspec, &wspec, &initial, steps);
-        fast.assert_matches(&reference, &format!("run_fast on {tag}"));
+        let reference = drive_planned(&gp, scheme, &sspec, &wspec, &initial, steps, 1);
+        let run = drive_planned(&gp, scheme, &sspec, &wspec, &initial, steps, steps);
+        run.assert_matches(&reference, &format!("run on {tag}"));
         let kernel = drive_run_kernel(&gp, scheme, &sspec, &wspec, &initial, steps);
         kernel.assert_matches(&reference, &format!("run_kernel on {tag}"));
         if sspec.is_none() && wspec.is_none() {
@@ -455,7 +451,7 @@ fn unclamped_drain_under_churn_produces_identical_negative_divergence() {
     let wspec = Some(WorkloadSpec::DrainUnclamped { rate: 5 });
     let initial = LoadVector::uniform(16, 12);
     let steps = 40;
-    let reference = drive_step_loop(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps);
+    let reference = drive_planned(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps, 1);
     let err = reference
         .error
         .as_ref()
@@ -471,8 +467,16 @@ fn unclamped_drain_under_churn_produces_identical_negative_divergence() {
     );
     for (label, outcome) in [
         (
-            "run_fast",
-            drive_run_fast(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
+            "run",
+            drive_planned(
+                &gp,
+                SchemeId::SendFloor,
+                &sspec,
+                &wspec,
+                &initial,
+                steps,
+                steps,
+            ),
         ),
         (
             "run_kernel",
@@ -500,7 +504,7 @@ fn injection_eroded_overdraw_under_churn_is_identical_on_every_path() {
     let wspec = Some(WorkloadSpec::Drain { rate: 2 });
     let initial = LoadVector::uniform(8, 9);
     let steps = 30;
-    let reference = drive_step_loop(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps);
+    let reference = drive_planned(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps, 1);
     let err = reference.error.as_ref().expect("drain must starve a node");
     assert!(
         matches!(err, EngineError::Overdraw { planned: 3, .. }),
@@ -508,8 +512,16 @@ fn injection_eroded_overdraw_under_churn_is_identical_on_every_path() {
     );
     for (label, outcome) in [
         (
-            "run_fast",
-            drive_run_fast(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
+            "run",
+            drive_planned(
+                &gp,
+                SchemeId::Const3,
+                &sspec,
+                &wspec,
+                &initial,
+                steps,
+                steps,
+            ),
         ),
         (
             "run_kernel",
@@ -537,14 +549,14 @@ fn rotor_state_is_identical_under_full_churn() {
     });
     let wspec = Some(WorkloadSpec::Hotspot { rate: 9 });
     let initial = LoadVector::point_mass(25, 500);
-    let reference = drive_step_loop(&gp, SchemeId::Rotor, &sspec, &wspec, &initial, 40);
+    let reference = drive_planned(&gp, SchemeId::Rotor, &sspec, &wspec, &initial, 40, 1);
     assert!(reference.error.is_none());
     assert!(reference.topology_events > 0, "churn must land");
     assert!(reference.rotors.is_some());
     let kernel = drive_run_kernel(&gp, SchemeId::Rotor, &sspec, &wspec, &initial, 40);
     kernel.assert_matches(&reference, "run_kernel rotor state");
-    let fast = drive_run_fast(&gp, SchemeId::Rotor, &sspec, &wspec, &initial, 40);
-    fast.assert_matches(&reference, "run_fast rotor state");
+    let run = drive_planned(&gp, SchemeId::Rotor, &sspec, &wspec, &initial, 40, 40);
+    run.assert_matches(&reference, "run rotor state");
 }
 
 /// An `Overdraw` arising in a **churning round without injection
@@ -566,7 +578,7 @@ fn overdraw_in_a_churning_round_without_injection_agrees_on_every_path() {
     // no injection phases at all.
     let initial = LoadVector::uniform(24, 7);
     let steps = 30;
-    let reference = drive_step_loop(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps);
+    let reference = drive_planned(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps, 1);
     let err = reference.error.as_ref().expect("churn must break Const3");
     assert!(
         matches!(err, EngineError::Overdraw { planned: 3, .. }),
@@ -574,8 +586,16 @@ fn overdraw_in_a_churning_round_without_injection_agrees_on_every_path() {
     );
     for (label, outcome) in [
         (
-            "run_fast",
-            drive_run_fast(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
+            "run",
+            drive_planned(
+                &gp,
+                SchemeId::Const3,
+                &sspec,
+                &wspec,
+                &initial,
+                steps,
+                steps,
+            ),
         ),
         (
             "run_kernel",
@@ -607,7 +627,7 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
     loads[2] = 2;
     loads[11] = -4;
     let initial = LoadVector::new(loads);
-    let reference = drive_step_loop(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10);
+    let reference = drive_planned(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10, 1);
     assert_eq!(
         reference.error,
         Some(EngineError::NegativeLoad {
@@ -625,7 +645,7 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
 #[derive(Clone, Copy)]
 enum ResumePath {
     StepLoop,
-    Fast,
+    Run,
     Kernel,
     ForcedVector(VectorConfig),
 }
@@ -638,7 +658,7 @@ struct SplitPoint {
     path: ResumePath,
 }
 
-/// The snapshot axis: run the instrumented loop to a chosen round
+/// The snapshot axis: run the one-round loop to a chosen round
 /// boundary, export the complete engine state plus rotor positions and
 /// generator cursors, rebuild **everything** from the export alone,
 /// and finish the run on the given path. Returns `None` where the path
@@ -662,27 +682,21 @@ fn drive_split_resume(
         return None;
     }
 
-    // Phase 1: the instrumented loop up to the split boundary.
+    // Phase 1: the one-round loop up to the split boundary.
     let mut rotor = build_rotor(scheme, gp);
     let mut boxed = rotor.is_none().then(|| scheme.build(gp));
     let mut schedule = build_schedule(sspec);
     let mut workload = build_workload(wspec, gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
-    for _ in 0..split {
-        let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-            (Some(r), _) => r,
-            (None, Some(b)) => b.as_mut(),
-            _ => unreachable!(),
-        };
-        if let Err(e) = engine.step_dyn(bal, schedule.as_deref_mut(), workload.as_deref_mut()) {
-            // Errored before the boundary: nothing left to resume; the
-            // terminal state itself must match the reference.
-            return Some(Outcome::capture(
-                &engine,
-                rotor.map(|r| r.rotors().to_vec()),
-                Some(e),
-            ));
-        }
+    let bal = planned(&mut rotor, &mut boxed);
+    if let Some(e) = run_chunked(&mut engine, bal, split, 1, &mut schedule, &mut workload) {
+        // Errored before the boundary: nothing left to resume; the
+        // terminal state itself must match the reference.
+        return Some(Outcome::capture(
+            &engine,
+            rotor.map(|r| r.rotors().to_vec()),
+            Some(e),
+        ));
     }
 
     // The export: everything a resumed instance is allowed to see.
@@ -709,38 +723,21 @@ fn drive_split_resume(
     }
     let remaining = steps - split;
     let error = match path {
-        ResumePath::StepLoop => {
-            let mut error = None;
-            for _ in 0..remaining {
-                let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-                    (Some(r), _) => r,
-                    (None, Some(b)) => b.as_mut(),
-                    _ => unreachable!(),
-                };
-                match engine.step_dyn(bal, schedule.as_deref_mut(), workload.as_deref_mut()) {
-                    Ok(_) => {}
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                }
-            }
-            error
-        }
-        ResumePath::Fast => {
-            let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-                (Some(r), _) => r,
-                (None, Some(b)) => b.as_mut(),
-                _ => unreachable!(),
+        ResumePath::StepLoop | ResumePath::Run => {
+            let chunk = if matches!(path, ResumePath::StepLoop) {
+                1
+            } else {
+                remaining
             };
-            engine
-                .run_fast_dyn(
-                    bal,
-                    remaining,
-                    schedule.as_deref_mut(),
-                    workload.as_deref_mut(),
-                )
-                .err()
+            let bal = planned(&mut rotor, &mut boxed);
+            run_chunked(
+                &mut engine,
+                bal,
+                remaining,
+                chunk,
+                &mut schedule,
+                &mut workload,
+            )
         }
         ResumePath::Kernel => {
             let s = schedule.as_deref_mut();
@@ -762,12 +759,8 @@ fn drive_split_resume(
         ResumePath::ForcedVector(config) => {
             engine.set_vector_config(config);
             match scheme {
-                SchemeId::SendFloor => engine
-                    .run_kernel_with(&mut SendFloor::new(), remaining, None::<&mut dyn Workload>)
-                    .err(),
-                SchemeId::SendRound => engine
-                    .run_kernel_with(&mut SendRound::new(), remaining, None::<&mut dyn Workload>)
-                    .err(),
+                SchemeId::SendFloor => engine.run_kernel(&mut SendFloor::new(), remaining).err(),
+                SchemeId::SendRound => engine.run_kernel(&mut SendRound::new(), remaining).err(),
                 _ => unreachable!("gated above"),
             }
         }
@@ -783,7 +776,7 @@ fn drive_split_resume(
 fn resume_paths() -> Vec<(&'static str, ResumePath)> {
     vec![
         ("step-loop", ResumePath::StepLoop),
-        ("run_fast", ResumePath::Fast),
+        ("run", ResumePath::Run),
         ("run_kernel", ResumePath::Kernel),
         (
             "run_kernel[banded/i64]",
@@ -838,7 +831,7 @@ proptest! {
         let wname = wspec.as_ref().map_or_else(|| "none".into(), WorkloadSpec::label);
         let tag = format!("{gname}/{sname}/{wname}");
 
-        let reference = drive_step_loop(&gp, scheme, &sspec, &wspec, &initial, steps);
+        let reference = drive_planned(&gp, scheme, &sspec, &wspec, &initial, steps, 1);
         for (label, path) in resume_paths() {
             if let Some(outcome) = drive_split_resume(
                 &gp,
@@ -874,7 +867,7 @@ fn resume_across_a_divergence_point_reproduces_the_error() {
     let wspec = Some(WorkloadSpec::DrainUnclamped { rate: 5 });
     let initial = LoadVector::uniform(16, 12);
     let steps = 40;
-    let reference = drive_step_loop(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps);
+    let reference = drive_planned(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps, 1);
     let error_step = match reference.error {
         Some(EngineError::NegativeLoad { step, .. }) => step,
         ref other => panic!("expected a NegativeLoad divergence point, got {other:?}"),
@@ -907,7 +900,7 @@ enum CacheOp {
     /// A `run_kernel_dyn` chunk under churn with crash/recovery
     /// (swaps plus sleep/wake).
     Churn(usize),
-    /// One instrumented `step_dyn` round under rewiring.
+    /// One planned `run_dyn` round under rewiring.
     Step,
     /// A `set_vector_config` strategy flip.
     Flip(VectorStrategy),
@@ -980,7 +973,7 @@ impl CacheRig {
                 .err(),
             CacheOp::Step => self
                 .engine
-                .step_dyn(bal, Some(self.rewire.as_mut()), none)
+                .run_dyn(bal, 1, Some(self.rewire.as_mut()), none)
                 .err(),
             CacheOp::Flip(strategy) => {
                 self.engine.set_vector_config(VectorConfig {

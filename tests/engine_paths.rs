@@ -1,5 +1,5 @@
-//! Cross-path property tests: the engine's fused fast paths must be
-//! indistinguishable from the instrumented stepping loop.
+//! Cross-path property tests: the engine's batched paths must be
+//! indistinguishable from the `step()` loop.
 //!
 //! Four guarantees, checked by proptest across every structured
 //! generator family (cycle, torus, hypercube, clique-circulant,
@@ -7,7 +7,7 @@
 //!
 //! 1. every non-overdrawing scheme conserves tokens and never produces
 //!    a negative load, on every execution path;
-//! 2. `run_fast` and the plan-free `run_kernel` produce bit-identical
+//! 2. `run` and the plan-free `run_kernel` produce bit-identical
 //!    load vectors to the `step()` loop for every scheme with a kernel;
 //! 3. running on an RCM-relabeled graph with permuted loads and mapping
 //!    the result back through the inverse reproduces the original run
@@ -175,7 +175,7 @@ proptest! {
                 let mut bal = scheme.build(&gp).unwrap();
                 prop_assert!(!bal.may_overdraw());
                 let mut engine = Engine::new(gp.clone(), initial.clone());
-                engine.run_fast(bal.as_mut(), steps).unwrap();
+                engine.run(bal.as_mut(), steps).unwrap();
                 prop_assert_eq!(
                     engine.loads().total(), total,
                     "{} lost tokens on {}", scheme.label(), name
@@ -189,8 +189,8 @@ proptest! {
         }
     }
 
-    /// Guarantee 2: the fast and kernel paths are bit-identical to the
-    /// instrumented stepping loop.
+    /// Guarantee 2: the batched and kernel paths are bit-identical to
+    /// the stepping loop.
     #[test]
     fn fast_and_kernel_paths_match_instrumented_stepping(
         pattern in proptest::collection::vec(0i64..400, 4..12),
@@ -201,7 +201,7 @@ proptest! {
             let gp = BalancingGraph::lazy(graph);
             let initial = loads_for(n, &pattern);
             for scheme in [SchemeSpec::SendFloor, SchemeSpec::SendRound] {
-                // Reference: the instrumented step() loop.
+                // Reference: the step() loop.
                 let mut bal = scheme.build(&gp).unwrap();
                 let mut reference = Engine::new(gp.clone(), initial.clone());
                 for _ in 0..steps {
@@ -209,11 +209,11 @@ proptest! {
                 }
 
                 let mut bal = scheme.build(&gp).unwrap();
-                let mut fast = Engine::new(gp.clone(), initial.clone());
-                fast.run_fast(bal.as_mut(), steps).unwrap();
+                let mut batched = Engine::new(gp.clone(), initial.clone());
+                batched.run(bal.as_mut(), steps).unwrap();
                 prop_assert_eq!(
-                    fast.loads(), reference.loads(),
-                    "run_fast diverged: {} on {}", scheme.label(), name
+                    batched.loads(), reference.loads(),
+                    "run diverged: {} on {}", scheme.label(), name
                 );
 
                 let kernel = run_kernel_by_name(&gp, &scheme, &initial, steps).unwrap();
@@ -295,11 +295,11 @@ proptest! {
                 reference.step(bal.as_mut()).unwrap();
             }
             let mut bal = SchemeSpec::RotorRouter.build(&gp).unwrap();
-            let mut fast = Engine::new(gp.clone(), initial.clone());
-            fast.run_fast(bal.as_mut(), steps).unwrap();
+            let mut batched = Engine::new(gp.clone(), initial.clone());
+            batched.run(bal.as_mut(), steps).unwrap();
             prop_assert_eq!(
-                fast.loads(), reference.loads(),
-                "rotor run_fast diverged on {}", name
+                batched.loads(), reference.loads(),
+                "rotor run diverged on {}", name
             );
             let kernel =
                 run_kernel_by_name(&gp, &SchemeSpec::RotorRouter, &initial, steps).unwrap();
@@ -408,7 +408,7 @@ fn negative_seed_errors_cleanly_on_every_path() {
         );
     };
     expect(build().run(&mut SendFloor::new(), 4));
-    expect(build().run_fast(&mut SendFloor::new(), 4));
+    expect(build().run(&mut SendFloor::new(), 4));
     expect(build().run_kernel(&mut SendFloor::new(), 4));
     expect(build().step(&mut SendFloor::new()).map(|_| ()));
 }

@@ -53,7 +53,7 @@ fn quickstart_pipeline_runs_to_completion() {
     let monitor = engine.monitor().expect("attached above");
     assert_eq!(monitor.round_violations(), 0, "rotor-router is round-fair");
     assert!(
-        engine.ledger().original_edge_spread() <= 1,
+        monitor.ledger().original_edge_spread() <= 1,
         "rotor-router is cumulatively 1-fair (Observation 2.2)"
     );
 

@@ -2,7 +2,8 @@
 //! facade:
 //!
 //! * **differential bit-identity** — every execution path (per-step
-//!   serial, batched serial, fused fast, delta-kernel) run
+//!   planned, batched planned with and without a monitor,
+//!   delta-kernel) run
 //!   twice, once with a recording [`RingSink`] and once through its
 //!   untraced entry point, under closed / injected / churned
 //!   configurations: loads, step counts, topology events and every
@@ -91,8 +92,9 @@ fn per_step_serial_path_is_bit_identical_under_any_sink() {
     let mut workload = steady().build(n);
     for _ in 0..steps {
         traced
-            .step_dyn_traced(
+            .run_dyn_traced(
                 &mut SendFloor::new(),
+                1,
                 schedule.as_deref_mut(),
                 Some(workload.as_mut()),
                 &mut sink,
@@ -104,15 +106,16 @@ fn per_step_serial_path_is_bit_identical_under_any_sink() {
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     for _ in 0..steps {
-        twin.step_dyn(
+        twin.run_dyn(
             &mut SendFloor::new(),
+            1,
             schedule.as_deref_mut(),
             Some(workload.as_mut()),
         )
         .unwrap();
     }
 
-    assert_twin(&traced, &twin, "step_dyn");
+    assert_twin(&traced, &twin, "one-round run_dyn");
     // The per-step path runs the full round structure, so every probe
     // point must have fired: mutate (periodic schedule), inject,
     // plan, validate, route.
@@ -136,25 +139,28 @@ fn batched_and_fast_paths_are_bit_identical_under_any_sink() {
     let n = 64;
     let steps = 48;
 
-    // Batched instrumented loop, closed system.
+    // Batched monitored loop, closed system.
     let mut sink = RingSink::with_capacity(steps * 8);
     let mut traced = Engine::new(cycle(n), point_mass(n));
+    traced.attach_monitor();
     traced
         .run_dyn_traced(&mut SendFloor::new(), steps, None, None, &mut sink)
         .unwrap();
     let mut twin = Engine::new(cycle(n), point_mass(n));
+    twin.attach_monitor();
     twin.run_dyn(&mut SendFloor::new(), steps, None, None)
         .unwrap();
-    assert_twin(&traced, &twin, "run_dyn");
+    assert_twin(&traced, &twin, "monitored run_dyn");
+    assert_eq!(traced.monitor(), twin.monitor(), "monitors diverged");
     assert!(sink.phase_count(Phase::Plan) as usize >= steps);
 
-    // Fused fast path under churn + injection.
+    // Unmonitored batched path under churn + injection.
     let mut sink = RingSink::with_capacity(steps * 8);
     let mut traced = Engine::new(cycle(n), point_mass(n));
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     traced
-        .run_fast_dyn_traced(
+        .run_dyn_traced(
             &mut SendFloor::new(),
             steps,
             schedule.as_deref_mut(),
@@ -165,14 +171,14 @@ fn batched_and_fast_paths_are_bit_identical_under_any_sink() {
     let mut twin = Engine::new(cycle(n), point_mass(n));
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
-    twin.run_fast_dyn(
+    twin.run_dyn(
         &mut SendFloor::new(),
         steps,
         schedule.as_deref_mut(),
         Some(workload.as_mut()),
     )
     .unwrap();
-    assert_twin(&traced, &twin, "run_fast_dyn");
+    assert_twin(&traced, &twin, "run_dyn under churn");
     assert!(sink.phase_count(Phase::Inject) > 0);
 }
 
@@ -244,7 +250,7 @@ fn counters_accumulate_across_chunked_runs() {
     let mut workload = steady().build(n);
     for _ in 0..4 {
         chunked
-            .run_fast_dyn(
+            .run_dyn(
                 &mut SendFloor::new(),
                 32,
                 schedule.as_deref_mut(),
@@ -257,7 +263,7 @@ fn counters_accumulate_across_chunked_runs() {
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     oneshot
-        .run_fast_dyn(
+        .run_dyn(
             &mut SendFloor::new(),
             128,
             schedule.as_deref_mut(),
@@ -292,7 +298,7 @@ fn counters_ride_snapshot_resume() {
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     first
-        .run_fast_dyn(
+        .run_dyn(
             &mut SendFloor::new(),
             64,
             schedule.as_deref_mut(),
@@ -303,7 +309,7 @@ fn counters_ride_snapshot_resume() {
     let mut resumed = Engine::from_state(snapshot);
     assert_eq!(metrics_of(&first), metrics_of(&resumed));
     resumed
-        .run_fast_dyn(
+        .run_dyn(
             &mut SendFloor::new(),
             64,
             schedule.as_deref_mut(),
@@ -315,7 +321,7 @@ fn counters_ride_snapshot_resume() {
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     uninterrupted
-        .run_fast_dyn(
+        .run_dyn(
             &mut SendFloor::new(),
             128,
             schedule.as_deref_mut(),
@@ -439,10 +445,11 @@ fn vector_plan_is_built_once_per_graph_and_again_after_each_invalidation() {
     chunk(&mut engine, &mut sink);
     assert_eq!(sink.phase_count(Phase::VectorPlan), 2);
 
-    // So does an instrumented step under a schedule.
+    // So does a planned round under a schedule.
     engine
-        .step_dyn(
+        .run_dyn(
             &mut SendFloor::new(),
+            1,
             schedule.as_deref_mut(),
             None::<&mut dyn Workload>,
         )
